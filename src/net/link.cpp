@@ -14,6 +14,9 @@ static_assert(sim::kSchedulerCallbackInline >= sizeof(Packet) + sizeof(void*),
               "scheduler callback SBO must fit a Packet + a this pointer");
 static_assert(sim::SimContext::kPacketBlockBytes >= sizeof(Packet),
               "packet pool blocks must fit a Packet");
+static_assert(sizeof(Packet) <= 104,
+              "every queue slot, flight entry and inbox item holds a "
+              "Packet by value; keep its fields ordered by size");
 
 Link::Link(sim::SimContext& ctx, std::string name, sim::DataRate rate,
            sim::TimePs prop_delay, std::unique_ptr<QueueDiscipline> qdisc,

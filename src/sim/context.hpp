@@ -88,9 +88,8 @@ class HWATCH_SHARD_CONFINED SimContext {
   void set_incident_sink(IncidentSink* sink) { incidents_ = sink; }
 
   /// Block size of packet_pool(): fits a net::Packet (the net layer
-  /// static_asserts this) with headroom so header growth doesn't break
-  /// the pool.
-  static constexpr std::size_t kPacketBlockBytes = 192;
+  /// static_asserts this), rounded up to a multiple of 16 bytes.
+  static constexpr std::size_t kPacketBlockBytes = 112;
 
   /// Free-list pool for packet-sized blocks.  Rare paths that must park
   /// a packet behind a pointer (e.g. the shim holding a SYN) allocate

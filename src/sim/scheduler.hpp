@@ -69,8 +69,9 @@ namespace hwatch::sim {
 
 /// Inline capacity of a large scheduler callback: sized so a lambda
 /// capturing a net::Packet by value plus a `this` pointer is stored
-/// inline (the link hot path static_asserts exactly that).
-inline constexpr std::size_t kSchedulerCallbackInline = 176;
+/// inline (the link hot path static_asserts exactly that).  With the
+/// two dispatch pointers a Callback is 128 bytes.
+inline constexpr std::size_t kSchedulerCallbackInline = 112;
 
 /// Inline capacity of a small scheduler callback: a `this` pointer plus
 /// a few captured words.  Timer expiries, flow starts and sampler ticks

@@ -147,7 +147,7 @@ void TcpSender::handle_ack(const net::Packet& p) {
   }
   if (peer_sack_) {
     for (std::uint8_t i = 0; i < p.tcp.sack_count; ++i) {
-      const net::SackBlock& b = p.tcp.sack[i];
+      const net::SackBlock b = p.tcp.sack_block(i);
       if (!b.empty() && b.end <= snd_max_ + 1) {
         sacked_.insert(b.start, b.end);
       }

@@ -187,12 +187,15 @@ void TcpSink::send_ack(bool syn_ack, bool fin_ack) {
     if (peer_sack_ && !ooo_.empty()) {
       // RFC 2018: first block reports the most recently received data;
       // remaining slots repeat other pending blocks.
+      // Blocks are stored relative to the cumulative ack set above.
+      constexpr std::size_t kMax = net::TcpHeader::kMaxSackBlocks;
       auto add_block = [&ack](const net::SackBlock& b) {
         for (std::uint8_t i = 0; i < ack.tcp.sack_count; ++i) {
-          if (ack.tcp.sack[i] == b) return;
+          if (ack.tcp.sack_block(i) == b) return;
         }
-        if (ack.tcp.sack_count < ack.tcp.sack.size()) {
-          ack.tcp.sack[ack.tcp.sack_count++] = b;
+        if (ack.tcp.sack_count < kMax) {
+          ack.tcp.set_sack(ack.tcp.sack_count, b);
+          ++ack.tcp.sack_count;
         }
       };
       if (have_last_arrival_) {
@@ -201,7 +204,7 @@ void TcpSink::send_ack(bool syn_ack, bool fin_ack) {
         }
       }
       for (const auto& [s, e] : ooo_) {
-        if (ack.tcp.sack_count >= ack.tcp.sack.size()) break;
+        if (ack.tcp.sack_count >= kMax) break;
         add_block(net::SackBlock{s, e});
       }
     }

@@ -14,6 +14,9 @@
 namespace hwatch::net {
 namespace {
 
+static_assert(sizeof(ShardInbox::Item) <= 112,
+              "an inbox slot is a Packet plus its delivery time");
+
 Packet make_packet(std::uint64_t uid) {
   Packet p;
   p.uid = uid;

@@ -29,6 +29,9 @@ static_assert(sizeof(Scheduler::SmallCallback) <= 48,
               "small slots must stay a fraction of a packet slot");
 static_assert(kSchedulerSmallCallbackInline < sizeof(net::Packet),
               "a Packet capture must never route to the small pool");
+static_assert(sizeof(Scheduler::Callback) <= 128,
+              "a large slot is a Packet, a this pointer and two dispatch "
+              "pointers");
 
 TEST(SchedulerPoolsTest, RoutesBySizeClass) {
   Scheduler s;

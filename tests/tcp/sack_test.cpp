@@ -172,8 +172,9 @@ TEST(SackTest, SinkAdvertisesHoles) {
   for (const auto& a : tap.acks) {
     if (a.tcp.sack_count > 0) {
       saw_block = true;
-      EXPECT_GT(a.tcp.sack[0].start, a.tcp.ack);
-      EXPECT_GT(a.tcp.sack[0].end, a.tcp.sack[0].start);
+      const net::SackBlock b = a.tcp.sack_block(0);
+      EXPECT_GT(b.start, a.tcp.ack);
+      EXPECT_GT(b.end, b.start);
     }
   }
   EXPECT_TRUE(saw_block);
