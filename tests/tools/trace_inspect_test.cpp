@@ -32,9 +32,18 @@ std::string run_cli(const std::string& args, int* exit_code) {
   return out;
 }
 
+/// A file in the shared gtest TempDir, prefixed with the running test's
+/// name: ctest runs every case in its own process, in parallel.
+std::string temp_path(const std::string& name) {
+  const ::testing::TestInfo* t =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + t->test_suite_name() + "." + t->name() +
+         "." + name;
+}
+
 std::string write_fixture(const std::string& name,
                           const std::string& content) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = temp_path(name);
   std::ofstream os(path);
   os << content;
   return path;
@@ -170,7 +179,7 @@ TEST(TraceInspectCli, ExportMergesSpansAndPackets) {
 }
 
 TEST(TraceInspectCli, ExportWritesOutputFile) {
-  const std::string dest = ::testing::TempDir() + "ti_export_out.json";
+  const std::string dest = temp_path("ti_export_out.json");
   std::remove(dest.c_str());
   int code = -1;
   run_cli("export -o " + dest + " " + span_fixture(), &code);
