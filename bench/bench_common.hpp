@@ -12,12 +12,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
+#include "sim/env.hpp"
 #include "sim/json.hpp"
 #include "stats/table.hpp"
 
@@ -105,6 +108,19 @@ inline unsigned sweep_threads() {
   }
 }
 
+/// HWATCH_BENCH_DURATION_MS, the CI smoke knob that shortens a bench's
+/// simulated horizon (nullopt when unset).  A value that is not a
+/// positive integer aborts the bench with a clear error instead of
+/// running a 0 ms sweep that passes every gate.
+inline std::optional<std::uint64_t> bench_duration_ms() {
+  try {
+    return sim::env_uint("HWATCH_BENCH_DURATION_MS", 1, 86'400'000);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 /// A named sweep point.  Benches build a vector of these, run_sweep
 /// executes them across the thread pool, and the returned curves keep
 /// the input order (results are independent of the thread count).
@@ -175,17 +191,16 @@ template <typename Config>
 std::vector<Curve> run_sweep(const std::string& bench_name,
                              std::vector<NamedPoint<Config>> points) {
   api::SweepRunner runner(sweep_threads());
+  // CI smoke knob: scale the simulated duration down so the full sweep
+  // pipeline (and the bench report) runs in seconds.
+  const std::optional<std::uint64_t> duration_ms = bench_duration_ms();
   std::vector<Config> cfgs;
   cfgs.reserve(points.size());
   for (const auto& p : points) {
     cfgs.push_back(p.cfg);
     // Manifests written under HWATCH_METRICS_DIR carry the curve name.
     if (cfgs.back().run_label.empty()) cfgs.back().run_label = p.name;
-    // CI smoke knob: scale the simulated duration down so the full
-    // sweep pipeline (and the bench report) runs in seconds.
-    if (const char* ms = std::getenv("HWATCH_BENCH_DURATION_MS")) {
-      cfgs.back().duration = sim::milliseconds(std::atol(ms));
-    }
+    if (duration_ms) cfgs.back().duration = sim::milliseconds(*duration_ms);
   }
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<api::ScenarioResults> results = runner.run(cfgs);

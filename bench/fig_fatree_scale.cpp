@@ -12,7 +12,6 @@
 // feeds the CI perf trajectory alongside the figure benches.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -43,8 +42,8 @@ hwatch::api::FatTreeScenarioConfig scale_config(std::uint32_t k,
   // imbalance column and the bench report at zero extra events.
   cfg.shard_telemetry = true;
   // Same CI smoke knob as the figure benches.
-  if (const char* ms = std::getenv("HWATCH_BENCH_DURATION_MS")) {
-    cfg.duration = sim::milliseconds(std::atol(ms));
+  if (const auto ms = bench::bench_duration_ms()) {
+    cfg.duration = sim::milliseconds(*ms);
   }
   return cfg;
 }

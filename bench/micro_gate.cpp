@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -137,9 +136,9 @@ void write_report(const std::string& name, std::uint64_t events,
 int main() {
   // Per-micro wall budget.  HWATCH_BENCH_DURATION_MS (the CI smoke
   // knob) scales it the same way it shortens the figure benches.
-  long budget_ms = 500;
-  if (const char* ms = std::getenv("HWATCH_BENCH_DURATION_MS")) {
-    budget_ms = std::max(5 * std::atol(ms), 20L);
+  std::uint64_t budget_ms = 500;
+  if (const auto ms = bench::bench_duration_ms()) {
+    budget_ms = std::max<std::uint64_t>(5 * *ms, 20);
   }
 
   const Micro micros[] = {

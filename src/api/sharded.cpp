@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/shard_channel.hpp"
+#include "sim/env.hpp"
 #include "sim/self_profiler.hpp"
 #include "sim/shard_group.hpp"
 #include "sim/shard_telemetry.hpp"
@@ -24,27 +25,8 @@
 namespace hwatch::api {
 
 unsigned shards_from_env() {
-  const char* raw = std::getenv("HWATCH_SHARDS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  const std::string value(raw);
-  const auto bad = [&](const char* why) {
-    throw std::invalid_argument(std::string("HWATCH_SHARDS=\"") + value +
-                                "\": " + why +
-                                " (expected a positive integer)");
-  };
-  std::size_t pos = 0;
-  unsigned long parsed = 0;
-  try {
-    parsed = std::stoul(value, &pos, 10);
-  } catch (const std::invalid_argument&) {
-    bad("not a number");
-  } catch (const std::out_of_range&) {
-    bad("out of range");
-  }
-  if (pos != value.size()) bad("trailing characters");
-  if (parsed == 0) bad("must be >= 1");
-  if (parsed > 1024) bad("out of range");
-  return static_cast<unsigned>(parsed);
+  return static_cast<unsigned>(
+      sim::env_uint("HWATCH_SHARDS", 1, 1024).value_or(0));
 }
 
 ShardedRunner::ShardedRunner(unsigned threads) : threads_(threads) {

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,6 +18,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/env.hpp"
 #include "sim/manifest.hpp"
 
 namespace hwatch::sim {
@@ -538,12 +538,7 @@ void ShardTelemetry::report(std::ostream& os) const {
 }
 
 std::uint64_t ShardTelemetry::epoch_budget_ms_from_env() {
-  const char* raw = std::getenv("HWATCH_EPOCH_BUDGET_MS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return 0;
-  return static_cast<std::uint64_t>(v);
+  return env_uint("HWATCH_EPOCH_BUDGET_MS", 0, UINT64_MAX).value_or(0);
 }
 
 }  // namespace hwatch::sim

@@ -230,7 +230,8 @@ TEST(ShardTelemetryTest, BudgetEnvParsing) {
   ::setenv("HWATCH_EPOCH_BUDGET_MS", "250", 1);
   EXPECT_EQ(ShardTelemetry::epoch_budget_ms_from_env(), 250u);
   ::setenv("HWATCH_EPOCH_BUDGET_MS", "nonsense", 1);
-  EXPECT_EQ(ShardTelemetry::epoch_budget_ms_from_env(), 0u);
+  EXPECT_THROW(ShardTelemetry::epoch_budget_ms_from_env(),
+               std::invalid_argument);
   ::unsetenv("HWATCH_EPOCH_BUDGET_MS");
 }
 
