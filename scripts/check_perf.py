@@ -7,10 +7,14 @@ benchmark regressed beyond the tolerance:
 
   * events_per_s  must stay >= baseline * (1 - tolerance)
   * peak_rss_bytes must stay <= baseline * (1 + tolerance)
+  * events must equal the baseline exactly: event counts are
+    deterministic, so a drift means simulated behaviour changed
 
 Faster / leaner than baseline always passes; ratchet the baselines
-forward by re-running with --update after a deliberate perf change (or
-when moving to different reference hardware) and committing the result.
+forward by re-running with --update after a deliberate perf or
+behaviour change (or when moving to different reference hardware) and
+committing the result.  --update is the only way to accept a new event
+count.
 
 Usage:
   scripts/check_perf.py [--bench-dir bench_out] [--baseline-dir perf/baselines]
@@ -23,7 +27,7 @@ reported but never fails the gate (new benches land first, their
 baseline lands with the numbers of the first green run); --update
 creates/refreshes baselines for everything it finds.
 
-Exit codes: 0 ok, 1 regression, 2 usage/IO error.
+Exit codes: 0 ok, 1 regression or event-count drift, 2 usage/IO error.
 """
 
 import argparse
@@ -153,17 +157,19 @@ def main():
             print(f"{name}: {metric} {cur:.0f} vs baseline {ref:.0f} "
                   f"({ratio:.2f}x, need {direction}) {verdict}")
             if not ok:
-                failures.append((name, metric, cur, ref))
+                failures.append(f"{name}: {metric} regressed beyond "
+                                f"{args.tolerance:.0%} tolerance")
         if doc.get("events") != base.get("events"):
-            # Informational only: event counts are deterministic, so a
-            # drift means the scenario config changed — refresh the
-            # baseline alongside deliberate changes.
-            print(f"{name}: note: events {doc.get('events')} != baseline "
-                  f"{base.get('events')} (config changed? refresh baseline)")
+            failures.append(f"{name}: events {doc.get('events')} != "
+                            f"baseline {base.get('events')} (event counts "
+                            f"are deterministic; refresh with --update "
+                            f"only for a deliberate behaviour change)")
+            print(f"{failures[-1]} DRIFT")
 
     if failures:
-        print(f"\n{len(failures)} perf regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance", file=sys.stderr)
+        print(f"\n{len(failures)} perf gate failure(s):", file=sys.stderr)
+        for f in failures:
+            print(f"  {f}", file=sys.stderr)
         return 1
     print("\nperf trajectory ok")
     return 0
