@@ -50,6 +50,11 @@ struct FatTreeScenarioConfig {
   /// unset).  Never changes the logical partition — results are
   /// byte-identical for every value.
   unsigned shards = 0;
+  /// Items each cross-shard inbox holds before a push spills (counted
+  /// in the manifest as shard.ingress.spilled); see
+  /// topo::ShardedFatTreeConfig::inbox_capacity.  Storage grows with
+  /// use up to this bound, so raising it only costs memory on links
+  /// whose windows actually run that deep.
   std::size_t inbox_capacity = 1024;
 
   /// Same semantics as the other scenario configs: forced on by

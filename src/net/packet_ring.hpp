@@ -3,9 +3,17 @@
 // Replaces std::deque<Packet>, whose libstdc++ implementation allocates
 // and frees a 512-byte node roughly every three packets even when the
 // queue depth is steady — exactly the churn the allocation-free hot
-// path forbids.  The ring grows geometrically (power-of-two capacity,
-// index masking) and never shrinks, so once a queue has seen its peak
-// depth every enqueue/dequeue is allocation-free.
+// path forbids.  The ring grows (power-of-two capacity, index masking)
+// and never shrinks, so once a queue has seen its peak depth every
+// enqueue/dequeue is allocation-free.
+//
+// Storage follows use, not the cap: a ring holds nothing until its
+// first packet, then one kMinCapacity block.  An unbounded ring (link
+// flight trains, byte-bounded qdiscs, the shim's SYN-ACK queue) doubles
+// from there.  A ring that knows its owner's packet bound jumps
+// straight to that bound the first time it outgrows the first block, so
+// a busy queue reallocates once, early, and never again — no 64 -> 128
+// step lands in a steady state.
 //
 // Beyond push_back/pop_front it supports the two operations the
 // priority band logic needs: insert at a logical position (urgent
@@ -14,8 +22,10 @@
 // side, so they stay O(min(pos, size-pos)) like a deque insert.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -25,7 +35,14 @@ namespace hwatch::net {
 
 class PacketRing {
  public:
+  static constexpr std::size_t kUnbounded = SIZE_MAX;
+
   PacketRing() = default;
+  /// A ring that never holds more than `bound` packets (a qdisc's hard
+  /// packet bound).  Its second allocation is the bound rounded up to a
+  /// power of two, capped at kMaxJump so a pathological bound can't
+  /// balloon memory; past that it doubles like an unbounded ring.
+  explicit PacketRing(std::size_t bound) : bound_(bound) {}
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -99,14 +116,6 @@ class PacketRing {
     --size_;
   }
 
-  /// Pre-sizes the ring so depths up to `n` never reallocate (rounded
-  /// up to a power of two).  Used when the queue's hard packet bound is
-  /// known at construction.
-  void reserve(std::size_t n) {
-    if (n <= slots_.size()) return;
-    rebuild(round_up_pow2(n));
-  }
-
  private:
   std::size_t wrap(std::size_t i) const { return i & (slots_.size() - 1); }
 
@@ -116,7 +125,16 @@ class PacketRing {
     return c;
   }
 
-  void grow() { rebuild(slots_.empty() ? kMinCapacity : slots_.size() * 2); }
+  void grow() {
+    if (slots_.empty()) {
+      rebuild(kMinCapacity);
+    } else if (slots_.size() == kMinCapacity && bound_ != kUnbounded &&
+               bound_ > kMinCapacity) {
+      rebuild(round_up_pow2(std::min(bound_, kMaxJump)));
+    } else {
+      rebuild(slots_.size() * 2);
+    }
+  }
 
   void rebuild(std::size_t new_capacity) {
     std::vector<Packet> next(new_capacity);
@@ -128,7 +146,9 @@ class PacketRing {
   }
 
   static constexpr std::size_t kMinCapacity = 16;
+  static constexpr std::size_t kMaxJump = 65536;
 
+  std::size_t bound_ = kUnbounded;
   std::vector<Packet> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -96,18 +96,21 @@ class QueueDiscipline {
   const QueueLimits& limits() const { return limits_; }
   /// Hard capacity in packets (kUnlimited when byte-bounded only).
   std::uint64_t capacity_packets() const { return limits_.packets; }
+  /// Packet slots the FIFO ring currently holds storage for (0 until
+  /// the first enqueue) — a memory view, not a limit.
+  std::size_t ring_slots() const { return fifo_.capacity(); }
 
   virtual std::string name() const = 0;
 
  protected:
-  explicit QueueDiscipline(QueueLimits limits) : limits_(limits) {
-    // Packet-bounded queues never reallocate: pre-size the ring to the
-    // hard bound (capped so a pathological bound can't balloon memory).
-    if (limits_.packets != QueueLimits::kUnlimited) {
-      fifo_.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(limits_.packets, 65536)));
-    }
-  }
+  // A packet-bounded queue hands its bound to the ring, so storage
+  // follows the depth the queue reaches rather than its cap (see
+  // PacketRing); a byte-bounded queue's ring is unbounded.
+  explicit QueueDiscipline(QueueLimits limits)
+      : fifo_(limits.packets == QueueLimits::kUnlimited
+                  ? PacketRing::kUnbounded
+                  : static_cast<std::size_t>(limits.packets)),
+        limits_(limits) {}
   explicit QueueDiscipline(std::uint64_t capacity_pkts)
       : QueueDiscipline(QueueLimits::in_packets(capacity_pkts)) {}
 

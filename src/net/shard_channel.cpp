@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/node.hpp"
@@ -11,8 +12,17 @@ namespace hwatch::net {
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
+/// First allocation of an inbox ring, in items (capped by capacity()).
+constexpr std::size_t kFirstSlots = 16;
+
+std::size_t checked_capacity(std::size_t n) {
+  if (n > ShardInbox::kMaxCapacity) {
+    throw std::invalid_argument(
+        "ShardInbox: capacity " + std::to_string(n) + " exceeds " +
+        std::to_string(ShardInbox::kMaxCapacity) +
+        ", the largest power-of-two ring");
+  }
+  std::size_t p = 2;
   while (p < n) p <<= 1;
   return p;
 }
@@ -20,8 +30,20 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 ShardInbox::ShardInbox(std::size_t capacity)
-    : ring_(round_up_pow2(std::max<std::size_t>(capacity, 2))) {
-  mask_ = ring_.size() - 1;
+    : capacity_(checked_capacity(capacity)) {}
+
+void ShardInbox::grow(std::size_t head, std::size_t tail) {
+  const std::size_t slots =
+      ring_.empty() ? std::min(kFirstSlots, capacity_) : ring_.size() * 2;
+  std::vector<Item> next(slots);
+  // head/tail are free-running counters, so an item keeps its index and
+  // only its slot (index & mask) moves; the consumer-owned head is not
+  // written.
+  for (std::size_t i = head; i != tail; ++i) {
+    next[i & (slots - 1)] = std::move(ring_[i & mask_]);
+  }
+  ring_ = std::move(next);
+  mask_ = slots - 1;
 }
 
 void ShardInbox::push(sim::TimePs deliver_time, Packet&& p) {
@@ -33,7 +55,7 @@ void ShardInbox::push(sim::TimePs deliver_time, Packet&& p) {
   const std::uint64_t depth_after =
       static_cast<std::uint64_t>(tail - head) + spill_.size() + 1;
   if (depth_after > peak_depth_) peak_depth_ = depth_after;
-  if (tail - head >= ring_.size()) {
+  if (tail - head >= capacity_) {
     // Ring full: spill instead of blocking.  The spill vector is only
     // touched by the producer during run phases and by the consumer
     // during drain phases; the epoch barrier orders the two.
@@ -41,6 +63,7 @@ void ShardInbox::push(sim::TimePs deliver_time, Packet&& p) {
     ++spilled_;
     return;
   }
+  if (tail - head == ring_.size()) grow(head, tail);
   Item& slot = ring_[tail & mask_];
   slot.deliver_time = deliver_time;
   slot.pkt = std::move(p);

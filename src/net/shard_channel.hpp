@@ -16,9 +16,11 @@
 // phases and the consumer only pops during drain phases, with a full
 // barrier between them, so the ring is never contended; the
 // acquire/release atomics make the handoff explicit (and TSan-clean)
-// rather than relying on the barrier alone.  A full ring spills to an
-// overflow vector instead of blocking — spills are counted, never
-// silent, and only touched under the same phase separation.
+// rather than relying on the barrier alone.  The ring's storage grows
+// with use, on the producer side, up to the inbox's logical capacity;
+// a push beyond that capacity spills to an overflow vector instead of
+// blocking — spills are counted, never silent, and only touched under
+// the same phase separation.
 #pragma once
 
 #include <atomic>
@@ -44,9 +46,16 @@ class HWATCH_SHARD_SHARED ShardInbox {
     Packet pkt;
   };
 
-  /// `capacity` is rounded up to a power of two (ring slots).  One
-  /// window's worth of transmissions on a single link fits comfortably
-  /// in the default; overflow spills, never drops.
+  /// Largest logical capacity: the biggest power of two a size_t holds.
+  static constexpr std::size_t kMaxCapacity = (SIZE_MAX >> 1) + 1;
+
+  /// `capacity` is rounded up to a power of two (at least 2): the most
+  /// items the ring holds before a push spills.  One window's worth of
+  /// transmissions on a single link fits comfortably in the default;
+  /// overflow spills, never drops.  The ring allocates nothing until the
+  /// first push and then doubles on demand, so an idle or shallow inbox
+  /// costs a few slots, not `capacity`.  Throws std::invalid_argument
+  /// when `capacity` exceeds kMaxCapacity.
   explicit ShardInbox(std::size_t capacity = 1024);
 
   ShardInbox(const ShardInbox&) = delete;
@@ -70,7 +79,13 @@ class HWATCH_SHARD_SHARED ShardInbox {
   std::uint64_t popped() const { return popped_; }
   /// Pushes that missed the ring and took the overflow vector.
   std::uint64_t spilled() const { return spilled_; }
-  std::size_t capacity() const { return ring_.size(); }
+  /// Logical ring capacity: a push that finds this many items queued
+  /// spills.
+  std::size_t capacity() const { return capacity_; }
+  /// Slots the ring currently holds storage for (0 until the first
+  /// push, never more than capacity()) — a memory view, not a limit.
+  /// Producer-owned like peak_depth().
+  std::size_t ring_slots() const { return ring_.size(); }
 
   /// High-water mark of the inbox depth (ring + spill) observed at push
   /// time — the number a grow-capacity decision needs.  Producer-owned
@@ -88,8 +103,16 @@ class HWATCH_SHARD_SHARED ShardInbox {
   }
 
  private:
+  /// Producer side, ring full below capacity(): doubles the storage and
+  /// re-places the pending items [head, tail) under the new mask.
+  void grow(std::size_t head, std::size_t tail);
+
+  // Storage and mask are producer-written (only inside push(), during a
+  // run phase) and consumer-read (pop(), during a drain phase); the
+  // epoch barrier orders the two.
   std::vector<Item> ring_;
   std::size_t mask_ = 0;
+  const std::size_t capacity_;
   // Producer-owned tail, consumer-owned head; each loads the other's
   // index with acquire and publishes its own with release.
   std::atomic<std::size_t> head_{0};

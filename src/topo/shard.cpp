@@ -75,6 +75,13 @@ ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
         "cannot bound the cross-shard sync window");
   }
   t.lookahead = per_link;
+  if (cfg.inbox_capacity > net::ShardInbox::kMaxCapacity) {
+    throw std::invalid_argument(
+        "ShardedFatTreeConfig.inbox_capacity: " +
+        std::to_string(cfg.inbox_capacity) + " exceeds " +
+        std::to_string(net::ShardInbox::kMaxCapacity) +
+        ", the largest power-of-two inbox ring");
+  }
 
   // --- id layout: one contiguous slice per shard, prefix-summed ---
   std::vector<net::NodeId> base(shard_count);

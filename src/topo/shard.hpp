@@ -68,7 +68,13 @@ struct ShardedFatTreeConfig {
   sim::TimePs base_rtt = sim::microseconds(100);
   net::QdiscFactory qdisc;  // used on every port
   std::uint64_t seed = 1;   // base seed; each shard derives its own
-  std::size_t inbox_capacity = 1024;  // per cross-shard channel
+  /// Items each cross-shard inbox holds before a push spills to its
+  /// overflow vector (rounded up to a power of two, at most
+  /// net::ShardInbox::kMaxCapacity).  A logical bound, not a
+  /// reservation: a ring's storage grows on the producer side with the
+  /// deepest window it has carried, so a large value costs nothing on
+  /// links that stay shallow.
+  std::size_t inbox_capacity = 1024;
 };
 
 /// A fat-tree instantiated as one SimContext + Network per shard.  Node
@@ -106,8 +112,9 @@ struct ShardedFatTree {
 /// edge switches hold exact routes for their hosts plus default ECMP
 /// uplinks; aggregation and core switches hold per-edge-shard host-range
 /// routes.  Throws std::invalid_argument (naming the parameter) on
-/// invalid shape, missing qdisc, or a base_rtt too small to yield a
-/// positive per-link delay.
+/// invalid shape, missing qdisc, a base_rtt too small to yield a
+/// positive per-link delay, or an inbox_capacity above
+/// net::ShardInbox::kMaxCapacity.
 ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg);
 
 }  // namespace hwatch::topo

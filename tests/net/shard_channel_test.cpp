@@ -3,6 +3,8 @@
 // scheduler events in (deliver_time, packet uid) order.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -29,6 +31,89 @@ TEST(ShardInboxTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(ShardInbox(3).capacity(), 4u);
   EXPECT_EQ(ShardInbox(4).capacity(), 4u);
   EXPECT_EQ(ShardInbox(1000).capacity(), 1024u);
+}
+
+TEST(ShardInboxTest, FreshInboxOwnsNoRingStorage) {
+  ShardInbox box(1024);
+  EXPECT_EQ(box.capacity(), 1024u);
+  EXPECT_EQ(box.ring_slots(), 0u);
+  box.push(1, make_packet(0));
+  EXPECT_EQ(box.ring_slots(), 16u);  // one first block, not the capacity
+  ShardInbox small(4);
+  small.push(1, make_packet(0));
+  EXPECT_EQ(small.ring_slots(), 4u);  // the first block never exceeds it
+}
+
+TEST(ShardInboxTest, HugeCapacityIsLogicalOnly) {
+  const std::size_t top = std::size_t{1} << 63;
+  ShardInbox box(top);  // would be 2^63 items if reserved
+  EXPECT_EQ(box.capacity(), top);
+  EXPECT_EQ(box.ring_slots(), 0u);
+  EXPECT_EQ(ShardInbox::kMaxCapacity, top);
+}
+
+TEST(ShardInboxTest, CapacityBeyondTheLargestRingThrows) {
+  EXPECT_THROW(ShardInbox(SIZE_MAX), std::invalid_argument);
+  EXPECT_THROW(ShardInbox((std::size_t{1} << 63) + 1), std::invalid_argument);
+}
+
+TEST(ShardInboxTest, GrowthWithAWrappedHeadKeepsEveryItem) {
+  ShardInbox box(64);
+  for (std::uint64_t i = 0; i < 10; ++i) box.push(5, make_packet(i));
+  ShardInbox::Item item;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(box.pop(item));
+    EXPECT_EQ(item.pkt.uid, i);
+  }
+  // Items 6..21 fill the 16-slot ring with the head at slot 6, so the
+  // 17th pending item grows the ring while it is wrapped — then twice
+  // more, up to the logical capacity.
+  for (std::uint64_t i = 10; i < 70; ++i) box.push(5, make_packet(i));
+  EXPECT_EQ(box.ring_slots(), 64u);
+  EXPECT_EQ(box.spilled(), 0u);
+  for (std::uint64_t i = 6; i < 70; ++i) {
+    ASSERT_TRUE(box.pop(item));
+    EXPECT_EQ(item.pkt.uid, i);
+  }
+  EXPECT_FALSE(box.pop(item));
+  EXPECT_EQ(box.popped(), 70u);
+}
+
+// The lazily grown ring spills at exactly the pushes a ring pre-sized
+// to capacity() would: whenever capacity() items are already queued in
+// the ring (spilled items never re-enter it).
+TEST(ShardInboxTest, SpillsAtTheSamePushAsAPresizedRing) {
+  ShardInbox box(8);
+  std::size_t in_ring = 0;  // pop() drains the ring before the spill
+  std::uint64_t expect_spilled = 0;
+  std::uint64_t uid = 0;
+  auto push = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      if (in_ring == box.capacity()) {
+        ++expect_spilled;
+      } else {
+        ++in_ring;
+      }
+      box.push(7, make_packet(uid++));
+      ASSERT_EQ(box.spilled(), expect_spilled) << "push of uid " << uid - 1;
+    }
+  };
+  auto pop = [&](int n) {
+    ShardInbox::Item item;
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(box.pop(item));
+      if (in_ring > 0) --in_ring;
+    }
+  };
+  push(9);   // 8 fit, the 9th spills
+  pop(3);
+  push(3);   // back to 8 in the ring
+  push(2);   // both spill
+  pop(10);   // the ring's 8, then 2 of the 3 spilled
+  push(9);   // 8 fit again, the 9th spills
+  EXPECT_EQ(box.spilled(), 4u);
+  EXPECT_EQ(box.depth(), 10u);
+  EXPECT_EQ(box.ring_slots(), 8u);
 }
 
 TEST(ShardInboxTest, PushPopRoundTrip) {
