@@ -24,4 +24,6 @@ std::optional<std::uint64_t> env_uint(const char* name, std::uint64_t lo,
   return v;
 }
 
+bool env_flag(const char* name) { return env_uint(name, 0, 1) == 1; }
+
 }  // namespace hwatch::sim
