@@ -193,15 +193,28 @@ TEST(ShardedEnv, ShardsFromEnvValidation) {
   ::unsetenv("HWATCH_SHARDS");
 }
 
-TEST(ShardedEnv, RunnerResolvesEnv) {
-  ::setenv("HWATCH_SHARDS", "2", 1);
-  const api::ShardedRunner runner;
-  EXPECT_EQ(runner.threads(), 2u);
+TEST(ShardedEnv, ZeroShardsResolvesEnvThenOne) {
+  // cfg.shards = 0 reads HWATCH_SHARDS, and falls back to one worker
+  // when it is unset; a nonzero cfg.shards wins over the variable.
+  api::FatTreeScenarioConfig cfg = small_config();
+  cfg.trace_spans = false;
+  cfg.shards = 0;
   ::unsetenv("HWATCH_SHARDS");
-  const api::ShardedRunner one;
-  EXPECT_EQ(one.threads(), 1u);
-  const api::ShardedRunner four(4);
-  EXPECT_EQ(four.threads(), 4u);
+  const api::ScenarioResults one = api::run_fat_tree_sharded(cfg);
+  ASSERT_TRUE(one.has_manifest);
+  EXPECT_EQ(one.manifest.sweep_threads, 1u);
+
+  ::setenv("HWATCH_SHARDS", "2", 1);
+  const api::ScenarioResults two = api::run_fat_tree_sharded(cfg);
+  cfg.shards = 4;
+  const api::ScenarioResults four = api::run_fat_tree_sharded(cfg);
+  ::unsetenv("HWATCH_SHARDS");
+  EXPECT_EQ(two.manifest.sweep_threads, 2u);
+  EXPECT_EQ(four.manifest.sweep_threads, 4u);
+  EXPECT_EQ(two.manifest.deterministic_dump(),
+            one.manifest.deterministic_dump());
+  EXPECT_EQ(four.manifest.deterministic_dump(),
+            one.manifest.deterministic_dump());
 }
 
 }  // namespace
