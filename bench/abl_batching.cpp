@@ -11,6 +11,7 @@
 // This bench shows both choices on the Figure 8 scenario.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
@@ -32,9 +33,7 @@ api::DumbbellScenarioConfig mode_config(core::BatchMode mode,
   return cfg;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Ablation A3",
                       "batching rule x setup caution on the fig8 scenario");
 
@@ -82,3 +81,7 @@ int main() {
   bench::write_csvs("abl_batching", curves);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

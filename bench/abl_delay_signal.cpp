@@ -9,6 +9,7 @@
 // HWatch with ECN+delay HWatch on the fig8 scenario.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
@@ -31,9 +32,7 @@ api::DumbbellScenarioConfig point_config(std::uint64_t k_frames,
   return cfg;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Ablation A6",
                       "ECN-only vs ECN+delay congestion watching as the "
                       "marking threshold K degrades");
@@ -75,3 +74,7 @@ int main() {
                "ECN no longer flags.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

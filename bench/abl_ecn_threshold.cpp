@@ -7,6 +7,7 @@
 // large K leaves less headroom to absorb incast bursts.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
@@ -32,9 +33,7 @@ api::DumbbellScenarioConfig k_config(bool hwatch_on, std::uint64_t k_frames) {
   return cfg;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Ablation A2",
                       "marking threshold K sweep (fraction of 250-frame "
                       "buffer), DCTCP vs TCP-HWATCH");
@@ -87,3 +86,7 @@ int main() {
   bench::write_csvs("abl_ecn_threshold", curves);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

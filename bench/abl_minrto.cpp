@@ -8,6 +8,7 @@
 // with stock 200 ms guests.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
@@ -26,9 +27,7 @@ api::DumbbellScenarioConfig minrto_config(sim::TimePs min_rto) {
   return cfg;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Ablation A5",
                       "shrinking minRTO (guest kernel change) vs HWatch "
                       "(hypervisor only)");
@@ -71,3 +70,7 @@ int main() {
                "stock 200 ms.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -8,11 +8,14 @@
 // delay.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
 
-int main() {
+namespace {
+
+int run() {
   bench::print_header("Ablation A1",
                       "HWatch probe-train length on the fig8 scenario");
 
@@ -54,3 +57,7 @@ int main() {
   bench::write_csvs("abl_probe_count", curves);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

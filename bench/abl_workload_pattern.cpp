@@ -7,6 +7,7 @@
 // HWatch-vs-TCP verdict does not depend on the arrival model.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "bench_common.hpp"
 
 using namespace hwatch;
@@ -70,9 +71,7 @@ api::LeafSpineScenarioConfig point_config(
   return cfg;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Ablation A4",
                       "open-loop waves vs closed-loop requests on the "
                       "testbed scenario");
@@ -130,3 +129,7 @@ int main() {
                "~1.6x at some tail cost.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

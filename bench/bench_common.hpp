@@ -8,12 +8,10 @@
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,28 +95,19 @@ struct Curve {
 /// Thread count for bench sweeps: HWATCH_SWEEP_THREADS overrides, 0
 /// falls through to hardware concurrency (SweepRunner's default).
 /// Set HWATCH_SWEEP_THREADS=1 to force the serial baseline.  A value
-/// that is not a positive integer aborts the bench with a clear error
+/// that is not a positive integer throws std::invalid_argument, which
+/// the bench's api::guarded_main turns into an error and exit status 2
 /// instead of silently running on every core.
 inline unsigned sweep_threads() {
-  try {
-    return api::SweepRunner::threads_from_env();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    std::exit(2);
-  }
+  return api::SweepRunner::threads_from_env();
 }
 
 /// HWATCH_BENCH_DURATION_MS, the CI smoke knob that shortens a bench's
 /// simulated horizon (nullopt when unset).  A value that is not a
-/// positive integer aborts the bench with a clear error instead of
-/// running a 0 ms sweep that passes every gate.
+/// positive integer stops the bench the same way instead of running a
+/// 0 ms sweep that passes every gate.
 inline std::optional<std::uint64_t> bench_duration_ms() {
-  try {
-    return sim::env_uint("HWATCH_BENCH_DURATION_MS", 1, 86'400'000);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    std::exit(2);
-  }
+  return sim::env_uint("HWATCH_BENCH_DURATION_MS", 1, 86'400'000);
 }
 
 /// A named sweep point.  Benches build a vector of these, run_sweep

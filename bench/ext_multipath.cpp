@@ -10,6 +10,7 @@
 // independently.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "bench_common.hpp"
 #include "tcp/multipath.hpp"
 #include "topo/fat_tree.hpp"
@@ -92,9 +93,7 @@ RunResult run(std::uint32_t subflows, bool hwatch_on) {
   return r;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Extension E1",
                       "MPTCP subflows on a k=4 fat-tree, with/without "
                       "HWatch");
@@ -117,3 +116,7 @@ int main() {
                "and no MPTCP-specific shim code exists.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

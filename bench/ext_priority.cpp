@@ -13,6 +13,7 @@
 // which requirement R2 rules out.  HWatch keeps both populations.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
@@ -52,9 +53,7 @@ api::ScenarioResults run_variant(bool priority, bool hwatch_on,
   return api::run_dumbbell(cfg);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Extension E3",
                       "strict-priority preemption vs HWatch (the R2/R4 "
                       "trade-off)");
@@ -98,3 +97,7 @@ int main() {
                "switches.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -12,6 +12,7 @@
 // losses at the source.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
 using namespace hwatch;
@@ -30,9 +31,7 @@ api::ScenarioResults run_variant(bool sack, bool limited_transmit) {
   return api::run_dumbbell(cfg);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Extension E2",
                       "guest-side mitigations (SACK, limited transmit) "
                       "vs HWatch on the fig8 incast");
@@ -62,3 +61,7 @@ int main() {
                "the overflow itself — and needs no\nguest changes.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

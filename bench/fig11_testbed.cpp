@@ -15,6 +15,7 @@
 // times for the web flows, with long-flow goodput essentially unharmed.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "bench_common.hpp"
 
 using namespace hwatch;
@@ -86,9 +87,7 @@ api::ScenarioResults run_testbed(bool hwatch_on) {
   return api::run_leaf_spine(cfg);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header("Figure 11",
                       "testbed (leaf-spine, 84 servers): TCP vs TCP-HWatch");
 
@@ -127,3 +126,7 @@ int main() {
   bench::write_csvs("fig11", curves);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

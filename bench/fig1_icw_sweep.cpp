@@ -11,11 +11,14 @@
 // barely changes; queue spikes at epochs.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "bench_common.hpp"
 
 using namespace hwatch;
 
-int main() {
+namespace {
+
+int run() {
   bench::print_header("Figure 1",
                       "DCTCP performance vs initial congestion window");
 
@@ -65,3 +68,7 @@ int main() {
   bench::write_csvs("fig1", curves);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

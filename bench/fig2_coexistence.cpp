@@ -12,6 +12,7 @@
 // utilized in both runs.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "bench_common.hpp"
 
 using namespace hwatch;
@@ -47,9 +48,7 @@ api::ScenarioResults run_mix(bool heterogeneous) {
   return api::run_dumbbell(cfg);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::print_header(
       "Figure 2", "DCTCP alone vs coexistence with other TCP flavours");
 
@@ -93,3 +92,7 @@ int main() {
   bench::write_csvs("fig2", curves);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

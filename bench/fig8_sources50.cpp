@@ -5,9 +5,16 @@
 // TCP-RED ~5x and DropTail ~10x on average; long-flow goodput matches
 // DCTCP; the queue stays near the marking threshold; the bottleneck
 // remains fully utilized.
+#include "api/cli.hpp"
 #include "fig89_common.hpp"
 
-int main() {
+namespace {
+
+int run() {
   hwatch::bench::run_figure("fig8", 50);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

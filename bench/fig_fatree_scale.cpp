@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/cli.hpp"
 #include "api/sharded.hpp"
 #include "bench_common.hpp"
 
@@ -48,9 +49,7 @@ hwatch::api::FatTreeScenarioConfig scale_config(std::uint32_t k,
   return cfg;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   using namespace hwatch;
   bench::print_header("fig_fatree_scale",
                       "sharded fat-tree scale study (conservative-lookahead "
@@ -132,3 +131,7 @@ int main() {
   bench::write_bench_json("fig_fatree_scale", curves, total_wall);
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "api/cli.hpp"
 #include "bench_common.hpp"
 #include "net/queue.hpp"
 #include "sim/json.hpp"
@@ -131,9 +132,7 @@ void write_report(const std::string& name, std::uint64_t events,
   std::cout << "(bench report written to " << out.string() << ")\n";
 }
 
-}  // namespace
-
-int main() {
+int run() {
   // Per-micro wall budget.  HWATCH_BENCH_DURATION_MS (the CI smoke
   // knob) scales it the same way it shortens the figure benches.
   std::uint64_t budget_ms = 500;
@@ -183,3 +182,7 @@ int main() {
   if (g_sink == 42) std::cout << "";  // keep g_sink observable
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -10,6 +10,7 @@
 //   * core::install_hwatch                 — the paper's shim
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "hwatch/shim.hpp"
 #include "net/network.hpp"
 #include "stats/table.hpp"
@@ -41,9 +42,7 @@ class CeTelemetry final : public net::PacketFilter {
   std::uint64_t ce_ = 0;
 };
 
-}  // namespace
-
-int main() {
+int run() {
   sim::SimContext ctx;
   sim::Scheduler& sched = ctx.scheduler();
   net::Network network(ctx);
@@ -113,3 +112,7 @@ int main() {
             << "events simulated: " << sched.executed() << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

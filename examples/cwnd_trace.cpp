@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "api/cli.hpp"
 #include "net/network.hpp"
 #include "stats/table.hpp"
 #include "tcp/connection.hpp"
@@ -72,9 +73,7 @@ std::string sparkline(const std::vector<double>& values) {
   return out;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "Congestion-window traces over 120 ms on a 1 Gb/s "
                "step-marking (K=32) bottleneck\n(one column = 2 ms; "
                "height = cwnd relative to the flavour's own max):\n\n";
@@ -106,3 +105,7 @@ int main() {
                "proportionally and hugs the threshold.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <map>
 
+#include "api/cli.hpp"
 #include "api/scenario.hpp"
 #include "stats/table.hpp"
 
@@ -97,9 +98,7 @@ void per_epoch_report(const std::string& name,
             << stats::Table::num(100 * res.mean_utilization(), 1) << " %\n\n";
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "Incast rescue: 25 bulk + 25 incast TCP senders, 10 Gb/s "
                "dumbbell, 6 epochs of 10 KB bursts.\n\n";
   per_epoch_report("plain TCP (no HWatch)", run(false));
@@ -109,3 +108,7 @@ int main() {
                "latency saved.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -8,6 +8,7 @@
 // without touching any guest.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "api/scenario.hpp"
 #include "stats/table.hpp"
 
@@ -93,9 +94,7 @@ void report(const std::string& name, const api::ScenarioResults& res) {
             << ", timeouts: " << res.timeouts << "\n\n";
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "Multi-tenant mix: DCTCP + ECN-responsive NewReno + "
                "ECN-blind NewReno + CUBIC\nsharing one 10 Gb/s fabric "
                "(each tenant brings its preferred stack).\n\n";
@@ -103,3 +102,7 @@ int main() {
   report("mixed tenants + HWatch on all hypervisors", run(true));
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -3,6 +3,7 @@
 // print the headline numbers.  This is the 60-second tour of the API.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "api/scenario.hpp"
 #include "stats/table.hpp"
 
@@ -68,9 +69,7 @@ void report(const std::string& name, const api::ScenarioResults& res) {
   }
 }
 
-}  // namespace
-
-int main() {
+int run() {
   std::cout << "HWatch quickstart: 20-pair 10G dumbbell, DCTCP tenants,\n"
             << "3 incast epochs of 10 KB flows against 10 bulk flows.\n\n";
 
@@ -86,3 +85,7 @@ int main() {
 
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

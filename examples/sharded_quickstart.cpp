@@ -12,12 +12,15 @@
 // and the flight dump record wall-clock behaviour.
 #include <iostream>
 
+#include "api/cli.hpp"
 #include "api/sharded.hpp"
 #include "stats/table.hpp"
 
 using namespace hwatch;
 
-int main() {
+namespace {
+
+int run() {
   api::FatTreeScenarioConfig cfg;
   cfg.k = 4;  // 16 hosts, 8 edge shards
   cfg.link_rate = sim::DataRate::gbps(10);
@@ -47,3 +50,7 @@ int main() {
             << "x (1.0 = perfectly balanced)\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return hwatch::api::guarded_main(run); }

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/env.hpp"
@@ -30,6 +31,15 @@ void RunPlan::enable_planes(sim::SimContext& ctx,
     ctx.tracer().set_enabled(true);
   }
   if (profile) ctx.profiler().set_enabled(true);
+}
+
+void require_positive_sample_interval(const char* config,
+                                      sim::TimePs interval) {
+  if (interval <= 0) {
+    throw std::invalid_argument(std::string(config) +
+                                ".sample_interval: must be > 0 ps (got " +
+                                std::to_string(interval) + ")");
+  }
 }
 
 void attach_detector(sim::SimContext& ctx, const net::Network& net,

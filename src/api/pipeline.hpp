@@ -76,6 +76,13 @@ struct RunPlan {
   void apply_env();
 };
 
+/// Throws std::invalid_argument naming `config`.sample_interval unless
+/// `interval` is positive.  Every sampler re-arms one interval after its
+/// tick, so a zero interval never lets a run end and a negative one
+/// lands in the scheduler's past.  Runners call it before building.
+void require_positive_sample_interval(const char* config,
+                                      sim::TimePs interval);
+
 /// Gives `ctx` an incident detector that watches every queue of `net`
 /// under its link's name, and appends it to `doctors`.
 void attach_detector(sim::SimContext& ctx, const net::Network& net,

@@ -262,6 +262,8 @@ ScenarioResults run_single_context(const Config& cfg, const char* kind,
 }  // namespace
 
 ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
+  require_positive_sample_interval("DumbbellScenarioConfig",
+                                   cfg.sample_interval);
   topo::Dumbbell d;
   const auto topology = [&](net::Network& net) -> net::Link& {
     topo::DumbbellConfig topo_cfg;
@@ -325,6 +327,8 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
 }
 
 ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
+  require_positive_sample_interval("LeafSpineScenarioConfig",
+                                   cfg.sample_interval);
   topo::LeafSpine t;
   const std::uint32_t recv_rack = cfg.racks - 1;
   const auto topology = [&](net::Network& net) -> net::Link& {

@@ -86,9 +86,12 @@ struct ScenarioResults {
   bool has_manifest = false;
 
   /// Filled when span tracing ran (config flag or HWATCH_TRACE_DIR):
-  /// the per-flow breakdown plus the serialized traces — `trace_chrome`
-  /// is Chrome trace-event JSON (schema hwatch.trace_export/v1, loads
-  /// in Perfetto), `trace_spans_jsonl` the span JSONL dump.
+  /// the serialized traces — `trace_chrome` is Chrome trace-event JSON
+  /// (schema hwatch.trace_export/v1, loads in Perfetto),
+  /// `trace_spans_jsonl` the span JSONL dump — and, from the
+  /// single-context runners only, the per-flow breakdown in `timeline`.
+  /// run_fat_tree_sharded leaves `timeline` empty and `has_timeline`
+  /// false.
   stats::FlowTimeline timeline;
   bool has_timeline = false;
   std::string trace_chrome;
@@ -138,7 +141,7 @@ struct DumbbellScenarioConfig {
   core::HWatchConfig hwatch;
 
   sim::TimePs duration = sim::seconds(1.0);
-  sim::TimePs sample_interval = sim::milliseconds(1);
+  sim::TimePs sample_interval = sim::milliseconds(1);  // must be > 0
   std::uint64_t seed = 1;
 
   /// Enables the per-context MetricsRegistry (counters, histograms,
@@ -202,7 +205,7 @@ struct LeafSpineScenarioConfig {
   core::HWatchConfig hwatch;
 
   sim::TimePs duration = sim::seconds(6.0);
-  sim::TimePs sample_interval = sim::milliseconds(5);
+  sim::TimePs sample_interval = sim::milliseconds(5);  // must be > 0
   std::uint64_t seed = 1;
 
   /// Same semantics as DumbbellScenarioConfig::collect_metrics.

@@ -70,6 +70,8 @@ struct ShardRun final : sim::ShardTask {
 }  // namespace
 
 ScenarioResults run_fat_tree_sharded(const FatTreeScenarioConfig& cfg) {
+  require_positive_sample_interval("FatTreeScenarioConfig",
+                                   cfg.sample_interval);
   const RunPlan plan(cfg, "fat_tree_sharded");
   const bool progress = sim::env_flag("HWATCH_PROGRESS");
   const char* flight_dir = std::getenv("HWATCH_FLIGHT_DIR");

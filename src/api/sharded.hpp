@@ -42,6 +42,7 @@ struct FatTreeScenarioConfig {
   sim::TimePs duration = sim::milliseconds(50);
   /// Gauge-sampling interval (per-shard MetricsSampler ticks on each
   /// shard's own scheduler — deterministic, unlike wall-clock sampling).
+  /// Must be > 0 even when metrics are off.
   sim::TimePs sample_interval = sim::milliseconds(1);
   std::uint64_t seed = 1;
 

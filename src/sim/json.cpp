@@ -188,6 +188,7 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
+  std::size_t depth = 0;  // arrays and objects open around `pos`
 
   bool fail(const std::string& msg) {
     if (error.empty()) {
@@ -216,8 +217,17 @@ struct Parser {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      // Each level is one recursion, so the cap bounds the stack.
+      if (depth >= Json::kMaxParseDepth) {
+        return fail("nesting deeper than " +
+                    std::to_string(Json::kMaxParseDepth));
+      }
+      ++depth;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth;
+      return ok;
+    }
     if (c == '"') return parse_string_value(out);
     if (c == 't' || c == 'f') return parse_bool(out);
     if (c == 'n') return parse_null(out);
@@ -412,7 +422,7 @@ struct Parser {
 }  // namespace
 
 Json Json::parse(std::string_view text, std::string* error) {
-  Parser p{text, 0, {}};
+  Parser p{text, 0, {}, 0};
   Json out;
   if (!p.parse_value(out)) {
     if (error) *error = p.error;

@@ -9,6 +9,7 @@
 // library: enough for flat-to-moderately-nested machine-written files.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -105,7 +106,12 @@ class Json {
   void dump(std::ostream& os, int indent = -1, int depth = 0) const;
   std::string dump(int indent = -1) const;
 
+  /// Arrays and objects nest at most this deep in a parsed document.
+  static constexpr std::size_t kMaxParseDepth = 256;
+
   /// Parses `text`; returns a kNull Json and fills *error on failure.
+  /// A document nested deeper than kMaxParseDepth fails with "nesting
+  /// deeper than 256 at offset N" rather than exhausting the stack.
   static Json parse(std::string_view text, std::string* error = nullptr);
 
   /// Writes a JSON string literal (quotes + escapes) for `s`.

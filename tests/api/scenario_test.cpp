@@ -2,7 +2,12 @@
 // determinism, and the headline HWatch effect in miniature.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "api/scenario.hpp"
+#include "api/sharded.hpp"
 
 namespace hwatch::api {
 namespace {
@@ -107,6 +112,40 @@ TEST(ScenarioTest, RejectsOversubscribedSources) {
   DumbbellScenarioConfig cfg = small_scenario();
   cfg.pairs = 4;  // but 8 sources requested
   EXPECT_THROW(run_dumbbell(cfg), std::invalid_argument);
+}
+
+/// The std::invalid_argument message `run` throws ("" when it throws
+/// none).
+std::string rejection_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A zero interval re-arms the samplers at one instant forever and a
+// negative one lands in the scheduler's past.  Every runner refuses both
+// before it builds anything, naming the field; the sharded runner does
+// so with metrics off too.
+TEST(ScenarioTest, RunnersRejectANonPositiveSampleInterval) {
+  for (const sim::TimePs bad : {sim::TimePs{0}, sim::TimePs{-1}}) {
+    const std::string got = " ps (got " + std::to_string(bad) + ")";
+    DumbbellScenarioConfig bell = small_scenario();
+    bell.sample_interval = bad;
+    EXPECT_EQ(rejection_of([&] { run_dumbbell(bell); }),
+              "DumbbellScenarioConfig.sample_interval: must be > 0" + got);
+    LeafSpineScenarioConfig leaf;
+    leaf.sample_interval = bad;
+    EXPECT_EQ(rejection_of([&] { run_leaf_spine(leaf); }),
+              "LeafSpineScenarioConfig.sample_interval: must be > 0" + got);
+    FatTreeScenarioConfig tree;
+    tree.k = 4;
+    tree.sample_interval = bad;
+    EXPECT_EQ(rejection_of([&] { run_fat_tree_sharded(tree); }),
+              "FatTreeScenarioConfig.sample_interval: must be > 0" + got);
+  }
 }
 
 TEST(ScenarioTest, HWatchReducesDropsUnderIncast) {

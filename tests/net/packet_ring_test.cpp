@@ -1,7 +1,7 @@
 // PacketRing, the qdisc / flight-train FIFO: storage follows use (none
-// before the first packet, one 16-slot block, then the owner's bound or
-// doubling), and positional insert/erase keep FIFO order across a
-// wrapped head and across a growth.
+// before the first packet, one 8-slot block, 16 slots, then the owner's
+// bound or doubling), and positional insert/erase keep FIFO order across
+// a wrapped head and across a growth.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,12 +26,28 @@ std::vector<std::uint64_t> uids_of(const PacketRing& r) {
   return out;
 }
 
-TEST(PacketRingTest, BoundedRingJumpsFromFirstBlockToItsBound) {
+/// Every capacity `r` takes while `n` packets are pushed, in order.
+std::vector<std::size_t> capacity_steps(PacketRing& r, std::uint64_t n) {
+  std::vector<std::size_t> steps;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    r.push_back(make_packet(i));
+    if (steps.empty() || steps.back() != r.capacity()) {
+      steps.push_back(r.capacity());
+    }
+  }
+  return steps;
+}
+
+TEST(PacketRingTest, BoundedRingDoublesOnceThenJumpsToItsBound) {
   PacketRing r(250);
   EXPECT_EQ(r.capacity(), 0u);  // nothing reserved up front
   r.push_back(make_packet(0));
+  EXPECT_EQ(r.capacity(), 8u);
+  for (std::uint64_t i = 1; i < 8; ++i) r.push_back(make_packet(i));
+  EXPECT_EQ(r.capacity(), 8u);
+  r.push_back(make_packet(8));  // the 9th packet
   EXPECT_EQ(r.capacity(), 16u);
-  for (std::uint64_t i = 1; i < 16; ++i) r.push_back(make_packet(i));
+  for (std::uint64_t i = 9; i < 16; ++i) r.push_back(make_packet(i));
   EXPECT_EQ(r.capacity(), 16u);
   r.push_back(make_packet(16));  // the 17th packet
   EXPECT_EQ(r.capacity(), 256u);
@@ -46,25 +62,29 @@ TEST(PacketRingTest, BoundedRingJumpsFromFirstBlockToItsBound) {
   }
   EXPECT_EQ(r.capacity(), 256u);
   EXPECT_EQ(r.size(), 250u);
+
+  PacketRing again(250);
+  EXPECT_EQ(capacity_steps(again, 250),
+            (std::vector<std::size_t>{8, 16, 256}));
+  // A bound of 16 fits the second block; one past it still jumps, to
+  // its own power of two.
+  PacketRing sixteen(16);
+  EXPECT_EQ(capacity_steps(sixteen, 16), (std::vector<std::size_t>{8, 16}));
+  PacketRing seventeen(17);
+  EXPECT_EQ(capacity_steps(seventeen, 17),
+            (std::vector<std::size_t>{8, 16, 32}));
 }
 
 TEST(PacketRingTest, UnboundedRingDoubles) {
   PacketRing r;
   EXPECT_EQ(r.capacity(), 0u);
-  std::vector<std::size_t> steps;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    r.push_back(make_packet(i));
-    if (steps.empty() || steps.back() != r.capacity()) {
-      steps.push_back(r.capacity());
-    }
-  }
-  EXPECT_EQ(steps, (std::vector<std::size_t>{16, 32, 64}));
+  EXPECT_EQ(capacity_steps(r, 64),
+            (std::vector<std::size_t>{8, 16, 32, 64}));
 }
 
 TEST(PacketRingTest, SmallBoundStaysInTheFirstBlock) {
   PacketRing r(8);
-  for (std::uint64_t i = 0; i < 8; ++i) r.push_back(make_packet(i));
-  EXPECT_EQ(r.capacity(), 16u);
+  EXPECT_EQ(capacity_steps(r, 8), (std::vector<std::size_t>{8}));
 }
 
 TEST(PacketRingTest, HugeBoundJumpIsCapped) {

@@ -94,6 +94,50 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
 }
 
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, ParseAcceptsNestingUpToTheCap) {
+  std::string err;
+  const Json j = Json::parse(nested_arrays(Json::kMaxParseDepth), &err);
+  EXPECT_TRUE(err.empty()) << err;
+  std::size_t depth = 1;
+  for (const Json* v = &j; v->size() > 0; v = &v->at(0)) ++depth;
+  EXPECT_EQ(depth, Json::kMaxParseDepth);
+  // Objects count towards the same cap as arrays.
+  std::string mixed;
+  for (std::size_t i = 0; i < Json::kMaxParseDepth / 2; ++i) {
+    mixed += "{\"a\":[";
+  }
+  for (std::size_t i = 0; i < Json::kMaxParseDepth / 2; ++i) mixed += "]}";
+  Json::parse(mixed, &err);
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(Json, ParseRejectsNestingPastTheCap) {
+  std::string err;
+  const Json j = Json::parse(nested_arrays(Json::kMaxParseDepth + 1), &err);
+  EXPECT_TRUE(j.is_null());
+  EXPECT_EQ(err, "nesting deeper than 256 at offset 256");
+  err.clear();
+  Json::parse("{\"a\":" + nested_arrays(Json::kMaxParseDepth) + "}", &err);
+  EXPECT_EQ(err, "nesting deeper than 256 at offset 260");
+}
+
+// 30,000 levels overflowed an 8 MiB stack before the cap; now they stop
+// at the 257th.
+TEST(Json, ParseRejectsFarDeeperNestingWithoutCrashing) {
+  std::string err;
+  Json::parse(nested_arrays(30'000), &err);
+  EXPECT_EQ(err, "nesting deeper than 256 at offset 256");
+  err.clear();
+  std::string objects;
+  for (int i = 0; i < 30'000; ++i) objects += "{\"a\":";
+  Json::parse(objects, &err);
+  EXPECT_EQ(err, "nesting deeper than 256 at offset 1280");
+}
+
 TEST(Json, ParseNestedDocument) {
   std::string err;
   const Json j = Json::parse(

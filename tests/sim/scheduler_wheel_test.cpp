@@ -63,8 +63,8 @@ TEST(SchedulerWheelTest, BucketOverflowSpillsToHeapKeepingFifo) {
 TEST(SchedulerWheelTest, HeapPeakCountsBothStructures) {
   Scheduler s;
   for (int i = 0; i < 10; ++i) {
-    s.schedule_at(1'000 + i, [] {});                  // wheel
-    s.schedule_at(2 * kWheelSpanPs + i, [] {});       // heap
+    s.schedule_at(1'000 + i * kWheelBucketPs, [] {});  // wheel, own bucket
+    s.schedule_at(2 * kWheelSpanPs + i, [] {});        // heap
   }
   EXPECT_EQ(s.wheel_entries(), 10u);
   EXPECT_EQ(s.heap_entries(), 10u);

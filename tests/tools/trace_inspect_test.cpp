@@ -136,6 +136,18 @@ TEST(TraceInspectCli, MalformedLineExitsTwo) {
   EXPECT_EQ(code, 2);
 }
 
+// A line nested 30,000 deep used to overflow the stack (SIGSEGV); the
+// parser's depth cap turns it into an ordinary malformed line.
+TEST(TraceInspectCli, DeeplyNestedLineExitsTwo) {
+  const std::string path = write_fixture(
+      "ti_deep.jsonl",
+      std::string(30'000, '[') + std::string(30'000, ']') + "\n");
+  int code = -1;
+  const std::string out = run_cli("summary " + path, &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("nesting deeper than 256"), std::string::npos) << out;
+}
+
 TEST(TraceInspectCli, ExportMergesSpansAndPackets) {
   int code = -1;
   const std::string out =

@@ -4,9 +4,11 @@
 // reaches its destination through the conservative drain/run protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "net/shard_channel.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/shard.hpp"
+#include "workload/traffic.hpp"
 
 namespace hwatch::topo {
 namespace {
@@ -202,6 +205,78 @@ TEST(ShardedFatTreeTest, K16FabricReservesNoRingsBeforeTheFirstEvent) {
   EXPECT_EQ(t.cross_links, 3'824u);
   EXPECT_EQ(qdisc_slots, 0u);
   EXPECT_EQ(inbox_slots, 0u);
+}
+
+// Ring storage follows occupancy on a running fabric: after 5 ms of a
+// DCTCP permutation on the k=4 sharded fat-tree, each qdisc ring holds
+// the smallest PacketRing step that fits the deepest its queue got — 8,
+// 16, then the 250-packet bound's 256 — or nothing if it stayed empty.
+TEST(ShardedFatTreeTest, QdiscRingsHoldTheSmallestStepTheirPeakNeeds) {
+  ShardedFatTreeConfig cfg;
+  cfg.k = 4;
+  cfg.qdisc = net::make_dctcp_factory(250, 50);
+  cfg.seed = 7;
+  ShardedFatTree tree = build_sharded_fat_tree(cfg);
+  const std::size_t shards = tree.shards.size();
+
+  // One long-lived cross-shard DCTCP flow per host.
+  tcp::TcpConfig t;
+  t.ecn = tcp::EcnMode::kDctcp;
+  std::vector<std::unique_ptr<workload::TrafficManager>> tms;
+  for (std::size_t s = 0; s < shards; ++s) {
+    tms.push_back(
+        std::make_unique<workload::TrafficManager>(*tree.shards[s].net));
+  }
+  const std::size_t n_hosts = tree.hosts.size();
+  const std::uint32_t hosts_per_edge = tree.plan.hosts_per_edge;
+  for (std::size_t i = 0; i < n_hosts; ++i) {
+    const std::size_t j = (i + n_hosts / 2 + 1) % n_hosts;
+    workload::FlowSpec spec;
+    spec.src = tree.hosts[i];
+    spec.dst = tree.hosts[j];
+    spec.dst_net = tree.shards[j / hosts_per_edge].net.get();
+    spec.dst_port = tms[j / hosts_per_edge]->next_port(*spec.dst);
+    spec.transport = tcp::Transport::kDctcp;
+    spec.tcp = t;
+    spec.bytes = tcp::TcpSender::kUnlimited;
+    spec.klass = stats::FlowClass::kLong;
+    tms[i / hosts_per_edge]->add_flow(spec);
+  }
+
+  std::vector<std::vector<std::pair<net::Node*, net::ShardInbox::Item>>>
+      scratch(shards);
+  for (sim::TimePs t0 = 0; t0 < sim::milliseconds(5);) {
+    const sim::TimePs end =
+        std::min(sim::milliseconds(5), t0 + tree.lookahead);
+    for (std::size_t s = 0; s < shards; ++s) {
+      net::drain_cross_shard_channels(tree.shards[s].ingress, scratch[s]);
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      tree.shards[s].ctx->scheduler().run_until(end);
+    }
+    t0 = end;
+  }
+
+  const std::vector<std::size_t> steps = {8, 16, 256};  // bound 250
+  std::size_t first_block = 0;
+  std::size_t grown = 0;
+  for (const ShardedFatTree::Shard& sh : tree.shards) {
+    for (const auto& link : sh.net->links()) {
+      const net::QueueDiscipline& q = link->qdisc();
+      const std::uint64_t peak = q.stats().max_len_pkts;
+      const std::size_t want =
+          peak == 0 ? 0
+                    : *std::find_if(steps.begin(), steps.end(),
+                                    [peak](std::size_t c) { return c >= peak; });
+      EXPECT_EQ(q.ring_slots(), want)
+          << link->name() << " peaked at " << peak << " packets";
+      if (want == steps[0]) ++first_block;
+      if (want > steps[0]) ++grown;
+    }
+  }
+  // Both sides of the first block's edge occur in the run.
+  EXPECT_GT(first_block, 0u);
+  EXPECT_GT(grown, 0u);
 }
 
 TEST(ShardedFatTreeTest, PacketUidsAreStripedPerShard) {
