@@ -42,6 +42,14 @@ void require_positive_sample_interval(const char* config,
   }
 }
 
+void require_positive_rate(const char* config, const char* field,
+                           sim::DataRate rate) {
+  if (rate.is_zero()) {
+    throw std::invalid_argument(std::string(config) + "." + field +
+                                ": must be > 0 b/s (got 0)");
+  }
+}
+
 void attach_detector(sim::SimContext& ctx, const net::Network& net,
                      Detectors& doctors) {
   auto doctor = std::make_unique<stats::IncidentDetector>();

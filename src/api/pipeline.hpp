@@ -83,6 +83,13 @@ struct RunPlan {
 void require_positive_sample_interval(const char* config,
                                       sim::TimePs interval);
 
+/// Throws std::invalid_argument naming `config`.`field` unless `rate` is
+/// positive.  A 0 b/s link takes kTimeNever to serialize a packet, and
+/// scheduling its completion that far ahead overflows the clock.
+/// Runners call it before building.
+void require_positive_rate(const char* config, const char* field,
+                           sim::DataRate rate);
+
 /// Gives `ctx` an incident detector that watches every queue of `net`
 /// under its link's name, and appends it to `doctors`.
 void attach_detector(sim::SimContext& ctx, const net::Network& net,

@@ -264,6 +264,9 @@ ScenarioResults run_single_context(const Config& cfg, const char* kind,
 ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
   require_positive_sample_interval("DumbbellScenarioConfig",
                                    cfg.sample_interval);
+  require_positive_rate("DumbbellScenarioConfig", "edge_rate", cfg.edge_rate);
+  require_positive_rate("DumbbellScenarioConfig", "bottleneck_rate",
+                        cfg.bottleneck_rate);
   topo::Dumbbell d;
   const auto topology = [&](net::Network& net) -> net::Link& {
     topo::DumbbellConfig topo_cfg;
@@ -329,6 +332,7 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
 ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
   require_positive_sample_interval("LeafSpineScenarioConfig",
                                    cfg.sample_interval);
+  require_positive_rate("LeafSpineScenarioConfig", "link_rate", cfg.link_rate);
   topo::LeafSpine t;
   const std::uint32_t recv_rack = cfg.racks - 1;
   const auto topology = [&](net::Network& net) -> net::Link& {

@@ -72,6 +72,7 @@ struct ShardRun final : sim::ShardTask {
 ScenarioResults run_fat_tree_sharded(const FatTreeScenarioConfig& cfg) {
   require_positive_sample_interval("FatTreeScenarioConfig",
                                    cfg.sample_interval);
+  require_positive_rate("FatTreeScenarioConfig", "link_rate", cfg.link_rate);
   const RunPlan plan(cfg, "fat_tree_sharded");
   const bool progress = sim::env_flag("HWATCH_PROGRESS");
   const char* flight_dir = std::getenv("HWATCH_FLIGHT_DIR");

@@ -109,68 +109,59 @@ void Scheduler::maybe_compact() {
       const std::size_t idx =
           (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
-      Entry* b = bucket_data(idx);
-      const std::size_t before = bucket_sizes_[idx];
-      // remove_if is stable, so a sorted (active) bucket stays sorted.
-      Entry* kept = std::remove_if(
-          b, b + before, [this](const Entry& e) { return !is_live(e); });
-      const auto after = static_cast<std::size_t>(kept - b);
-      bucket_sizes_[idx] = static_cast<std::uint8_t>(after);
-      std::size_t removed = before - after;
-      if (active_bucket_ != kNoBucket && idx == slot_index(active_bucket_)) {
-        // The consumed prefix (already-fired entries, generations long
-        // bumped) was swept too, but it was not parked: it left
-        // wheel_count_ when it fired.
-        removed -= active_pos_;
-        active_pos_ = 0;
-        if (after == 0) active_bucket_ = kNoBucket;
+      // Unlinking keeps the rest of the chain in order.
+      std::uint32_t* link = &bucket_heads_[idx];
+      while (*link != kNoNode) {
+        const std::uint32_t node = *link;
+        if (is_live(nodes_[node].entry)) {
+          link = &nodes_[node].next;
+          continue;
+        }
+        *link = nodes_[node].next;
+        release_node(node);
+        --bucket_sizes_[idx];
+        --wheel_count_;
       }
-      wheel_count_ -= removed;
-      if (after == 0) clear_occupied(idx);
+      if (bucket_sizes_[idx] == 0) clear_occupied(idx);
     }
   }
   stale_ = 0;
 }
 
-bool Scheduler::wheel_insert(const Entry& e, std::uint64_t bucket) {
-  if (slab_ == nullptr) {
-    slab_ = std::make_unique_for_overwrite<Entry[]>(kWheelBuckets *
-                                                    kWheelBucketCapacity);
+std::uint32_t Scheduler::acquire_node(const Entry& e) {
+  std::uint32_t node = free_node_;
+  if (node != kNoNode) {
+    free_node_ = nodes_[node].next;
+    nodes_[node].entry = e;
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{e, kNoNode});
   }
+  return node;
+}
+
+void Scheduler::release_node(std::uint32_t node) {
+  nodes_[node].next = free_node_;
+  free_node_ = node;
+}
+
+bool Scheduler::wheel_insert(const Entry& e, std::uint64_t bucket) {
   const std::size_t idx = slot_index(bucket);
   std::uint8_t& n = bucket_sizes_[idx];
   if (n == kWheelBucketCapacity) return false;  // full: overflow to heap
-  Entry* b = bucket_data(idx);
-  assert(n == 0 || bucket_of(b[0].time) == bucket);
-  if (n == 0) {
-    set_occupied(idx);
-    b[0] = e;
-  } else if (bucket == active_bucket_) {
-    // Keep the active bucket's sorted invariant.  The new entry can
-    // never land in the consumed prefix: its time is >= now_ and its
-    // seq is the largest ever issued.
-    std::size_t pos = active_pos_;
-    while (pos < n && earlier(b[pos], e)) ++pos;
-    for (std::size_t j = n; j > pos; --j) b[j] = b[j - 1];
-    b[pos] = e;
-  } else {
-    b[n] = e;
+  assert(n == 0 || bucket_of(nodes_[bucket_heads_[idx]].entry.time) == bucket);
+  // Take the node before walking the chain: a new node may grow nodes_,
+  // which would leave a link pointer into the pool dangling.
+  const std::uint32_t node = acquire_node(e);
+  // Keep the chain in (time, seq) order, so its head is the bucket's
+  // minimum; the cap bounds the walk at kWheelBucketCapacity - 1 links.
+  std::uint32_t* link = &bucket_heads_[idx];
+  while (*link != kNoNode && earlier(nodes_[*link].entry, e)) {
+    link = &nodes_[*link].next;
   }
-  ++n;
-  if (active_bucket_ != kNoBucket && bucket < active_bucket_) {
-    // The wheel minimum moved to an earlier bucket (possible only while
-    // now_ is still below the active bucket's span).  Flush the active
-    // bucket's dead prefix — those entries already fired or were
-    // dropped and are not counted anywhere — and let the next peek
-    // re-activate whichever bucket is earliest.
-    const std::size_t aidx = slot_index(active_bucket_);
-    Entry* ab = bucket_data(aidx);
-    std::uint8_t& an = bucket_sizes_[aidx];
-    std::copy(ab + active_pos_, ab + an, ab);
-    an = static_cast<std::uint8_t>(an - active_pos_);
-    active_bucket_ = kNoBucket;
-    active_pos_ = 0;
-  }
+  nodes_[node].next = *link;
+  *link = node;
+  if (n++ == 0) set_occupied(idx);
   if (bucket < wheel_front_) wheel_front_ = bucket;
   ++wheel_count_;
   return true;
@@ -196,9 +187,6 @@ std::size_t Scheduler::occupied_distance(std::size_t start) const {
 
 const Scheduler::Entry* Scheduler::wheel_front_entry() {
   if (wheel_count_ == 0) return nullptr;
-  if (active_bucket_ != kNoBucket) {
-    return bucket_data(slot_index(active_bucket_)) + active_pos_;
-  }
   const std::uint64_t cur = bucket_of(now_);
   // Buckets below now_ are provably empty (see the invariant at the top
   // of this file); snapping the scan start to now_ keeps ring order ==
@@ -206,31 +194,24 @@ const Scheduler::Entry* Scheduler::wheel_front_entry() {
   if (wheel_front_ < cur) wheel_front_ = cur;
   const std::size_t dist = occupied_distance(slot_index(wheel_front_));
   assert(dist < kWheelBuckets);
-  const std::uint64_t bucket = wheel_front_ + dist;
-  const std::size_t idx = slot_index(bucket);
-  Entry* b = bucket_data(idx);
-  assert(bucket_sizes_[idx] > 0 && bucket_of(b[0].time) == bucket);
-  if (bucket_sizes_[idx] > 1) {
-    std::sort(b, b + bucket_sizes_[idx],
-              [](const Entry& a, const Entry& c) { return earlier(a, c); });
-  }
-  wheel_front_ = bucket;
-  active_bucket_ = bucket;
-  active_pos_ = 0;
-  return b;
+  wheel_front_ += dist;
+  const Entry& head = nodes_[bucket_heads_[slot_index(wheel_front_)]].entry;
+  assert(bucket_of(head.time) == wheel_front_);
+  return &head;
 }
 
-void Scheduler::wheel_drop_front() {
-  const std::size_t idx = slot_index(active_bucket_);
-  ++active_pos_;
+Scheduler::Entry Scheduler::wheel_pop_front() {
+  const std::size_t idx = slot_index(wheel_front_);
+  const std::uint32_t head = bucket_heads_[idx];
+  const Entry e = nodes_[head].entry;
+  bucket_heads_[idx] = nodes_[head].next;
+  release_node(head);
   --wheel_count_;
-  if (active_pos_ == bucket_sizes_[idx]) {
-    bucket_sizes_[idx] = 0;
+  if (--bucket_sizes_[idx] == 0) {
     clear_occupied(idx);
-    wheel_front_ = active_bucket_ + 1;
-    active_bucket_ = kNoBucket;
-    active_pos_ = 0;
+    ++wheel_front_;
   }
+  return e;
 }
 
 void Scheduler::heap_drop_top() {
@@ -264,7 +245,7 @@ const Scheduler::Entry* Scheduler::peek_next() {
     // exactly when the single-heap implementation would have popped it.
     --stale_;
     if (from_wheel) {
-      wheel_drop_front();
+      wheel_pop_front();
     } else {
       heap_drop_top();
     }
@@ -274,8 +255,7 @@ const Scheduler::Entry* Scheduler::peek_next() {
 void Scheduler::execute_next() {
   Entry e;
   if (next_from_wheel_) {
-    e = bucket_data(slot_index(active_bucket_))[active_pos_];
-    wheel_drop_front();
+    e = wheel_pop_front();
   } else {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     e = heap_.back();

@@ -12,10 +12,11 @@
 //     [now, now + kWheelBuckets * kWheelBucketPs).  The events that
 //     dominate every scenario — link serialization boundaries,
 //     propagation arrivals, per-packet timer ticks — land a few
-//     microseconds ahead and go here with O(1) insert and O(1)
-//     amortized extract (buckets are sorted once when the clock reaches
-//     them; typical occupancy is a handful of entries, stored in one
-//     fixed slab so the wheel never allocates past its first insert);
+//     microseconds ahead and go here with O(1) extract and an insert
+//     that walks at most a bucket's few entries (each bucket is a chain
+//     kept in (time, seq) order; its nodes come from one per-scheduler
+//     pool, so wheel memory follows the entries parked, not the bucket
+//     count);
 //
 //   * the binary min-heap, kept as the far-future overflow for
 //     everything past the wheel horizon (retransmission timers,
@@ -49,14 +50,13 @@
 // `this` pointer, a couple of words — timers, flow starts, sampler
 // ticks, link train boundaries) and a large pool whose inline buffer
 // carries a net::Packet by value.  schedule_at picks the pool from the
-// callable's size at compile time.  In steady state (slots, buckets and
-// heap at their high-water marks) schedule/cancel/execute touch the
+// callable's size at compile time.  In steady state (slots, wheel nodes
+// and heap at their high-water marks) schedule/cancel/execute touch the
 // allocator zero times; the allocation-regression test enforces this.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -89,17 +89,17 @@ inline constexpr std::size_t kWheelBuckets = 2048;
 inline constexpr TimePs kWheelSpanPs =
     kWheelBucketPs * static_cast<TimePs>(kWheelBuckets);
 
-/// Fixed per-bucket capacity: bucket storage is one lazily-allocated
-/// slab (kWheelBuckets x kWheelBucketCapacity entries, 384 KiB), so
-/// the wheel NEVER allocates after its first insert — a bucket that
-/// fills up overflows to the heap, which already handles arbitrary
-/// entries and warms to its high-water mark like the single-heap core
-/// did.  That keeps the steady-state zero-allocation guarantee exactly
-/// as strong as before the wheel existed.  Eight slots hold what the
-/// benchmark fabrics park: on the k=16 fat-tree 0.02% of wheel inserts
-/// find 8 slots of their bucket in use (at most 14 are), and the
-/// dumbbells and leaf-spine almost never do.  A spill changes no order
-/// and no count, because peek_next and heap_peak span both structures.
+/// Per-bucket entry cap.  Each bucket is a singly linked list threaded
+/// through one per-scheduler node pool; freed nodes go to a free list,
+/// so, like the heap, the pool grows only at all-time peaks of parked
+/// wheel entries.  A bucket that holds kWheelBucketCapacity entries
+/// overflows to the heap, which bounds the sorted insert's walk (256
+/// timers parked inside one 65 ns bucket would otherwise walk up to 255
+/// nodes per insert).  Eight hold what the benchmark fabrics park: on
+/// the k=16 fat-tree 0.02% of wheel inserts found 8 entries in their
+/// bucket (at most 14 were), and the dumbbells and leaf-spine almost
+/// never do.  A spill changes no order and no count, because peek_next
+/// and heap_peak span both structures.
 inline constexpr std::size_t kWheelBucketCapacity = 8;
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
@@ -117,7 +117,7 @@ class HWATCH_SHARD_CONFINED Scheduler {
   using SmallCallback =
       UniqueFunction<void(), kSchedulerSmallCallbackInline>;
 
-  Scheduler() = default;
+  Scheduler() { bucket_heads_.fill(kNoNode); }
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -244,9 +244,11 @@ class HWATCH_SHARD_CONFINED Scheduler {
   /// not-yet-compacted stale (cancelled) ones.
   std::size_t heap_entries() const { return heap_.size(); }
   /// Entries currently parked in wheel buckets, including
-  /// not-yet-dropped stale ones (the consumed prefix of the active
-  /// bucket is excluded — those events are already history).
+  /// not-yet-dropped stale ones.
   std::size_t wheel_entries() const { return wheel_count_; }
+  /// Wheel nodes made so far: the all-time peak of entries parked in
+  /// wheel buckets, so never more than heap_peak().
+  std::size_t wheel_node_slots() const { return nodes_.size(); }
   /// Combined parked entries (what heap_entries() reported before the
   /// wheel existed).
   std::size_t total_entries() const { return wheel_count_ + heap_.size(); }
@@ -265,8 +267,15 @@ class HWATCH_SHARD_CONFINED Scheduler {
     }
   };
 
+  /// One parked wheel entry and the next node of its bucket's chain (or
+  /// of the free list); kNoNode ends a chain.
+  struct Node {
+    Entry entry;
+    std::uint32_t next;
+  };
+
   static constexpr std::uint32_t kSmallSlotBit = 0x8000'0000u;
-  static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
   template <typename CB>
   struct SlotPool {
@@ -320,19 +329,20 @@ class HWATCH_SHARD_CONFINED Scheduler {
   }
 
   // --- wheel internals ----------------------------------------------
-  Entry* bucket_data(std::size_t idx) {
-    return slab_.get() + idx * kWheelBucketCapacity;
-  }
+  /// A pool node holding `e`, off the free list when it has one.
+  std::uint32_t acquire_node(const Entry& e);
+  void release_node(std::uint32_t node);
   /// Parks `e` in its wheel bucket; false when the bucket is full (the
-  /// caller overflows to the heap — never allocate in the wheel).
+  /// caller overflows to the heap).
   bool wheel_insert(const Entry& e, std::uint64_t bucket);
-  /// Earliest parked wheel entry (live or stale), sorting/activating
-  /// its bucket on first touch; nullptr when the wheel is empty.
+  /// Earliest parked wheel entry (live or stale): the head of the first
+  /// occupied bucket, which wheel_front_ then names; nullptr when the
+  /// wheel is empty.
   const Entry* wheel_front_entry();
-  /// Removes the entry wheel_front_entry() returned; recycles the
-  /// bucket once drained.  Counter upkeep beyond wheel_count_
-  /// (wheel_live_ / stale_) is the caller's job.
-  void wheel_drop_front();
+  /// Unlinks and returns the entry wheel_front_entry() returned, and
+  /// retires the bucket once drained.  Counter upkeep beyond
+  /// wheel_count_ (stale_) is the caller's job.
+  Entry wheel_pop_front();
   /// Ring distance from slot `start` to the first occupied bucket slot;
   /// kWheelBuckets when the whole wheel is empty.
   std::size_t occupied_distance(std::size_t start) const;
@@ -358,12 +368,12 @@ class HWATCH_SHARD_CONFINED Scheduler {
   void maybe_compact();
 
   std::vector<Entry> heap_;  // far-future + overflow min-heap
-  std::unique_ptr<Entry[]> slab_;  // bucket storage, allocated on first use
+  std::vector<Node> nodes_;  // wheel bucket storage, grown only at peaks
+  std::uint32_t free_node_ = kNoNode;  // free list through Node::next
+  std::array<std::uint32_t, kWheelBuckets> bucket_heads_;  // chain heads
   std::array<std::uint8_t, kWheelBuckets> bucket_sizes_{};
   std::array<std::uint64_t, kWheelBuckets / 64> occupied_{};
   std::uint64_t wheel_front_ = 0;   // no wheel entries below this bucket
-  std::uint64_t active_bucket_ = kNoBucket;  // sorted, partially consumed
-  std::size_t active_pos_ = 0;      // consumed prefix of the active bucket
   std::size_t wheel_count_ = 0;     // parked wheel entries (live + stale)
   bool next_from_wheel_ = false;    // where peek_next found the minimum
   SlotPool<SmallCallback> small_;

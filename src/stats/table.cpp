@@ -66,17 +66,6 @@ void write_csv(const std::string& path, const std::string& header,
   }
 }
 
-void print_cdf(std::ostream& os, const std::string& label, const Cdf& cdf,
-               const std::string& unit) {
-  os << label << " (" << cdf.sorted_samples().size() << " samples, "
-     << unit << ")\n";
-  Table t({"quantile", "value"});
-  for (double q : {0.05, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0}) {
-    t.add_row({Table::num(q, 2), Table::num(cdf.quantile(q), 3)});
-  }
-  t.print(os);
-}
-
 void print_cdf_panel(std::ostream& os, const std::string& title,
                      const std::vector<std::pair<std::string, Cdf>>& curves,
                      const std::string& unit) {

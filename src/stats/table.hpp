@@ -36,10 +36,6 @@ void write_csv(const std::string& path, const std::string& header,
 void write_csv(const std::string& path, const std::string& header,
                const TimeSeries& series);
 
-/// Prints a labelled CDF as quantile rows (q, value).
-void print_cdf(std::ostream& os, const std::string& label, const Cdf& cdf,
-               const std::string& unit);
-
 /// Prints several named CDFs side by side at common quantiles — the
 /// textual equivalent of one CDF panel with several curves.
 void print_cdf_panel(std::ostream& os, const std::string& title,

@@ -148,6 +148,38 @@ TEST(ScenarioTest, RunnersRejectANonPositiveSampleInterval) {
   }
 }
 
+// A 0 b/s link serializes a packet in kTimeNever, and scheduling that
+// completion overflows the clock.  Each runner refuses a zero rate in
+// every rate field before it builds anything, naming the field.
+TEST(ScenarioTest, DumbbellRejectsAZeroEdgeRate) {
+  DumbbellScenarioConfig cfg = small_scenario();
+  cfg.edge_rate = sim::DataRate::bps(0);
+  EXPECT_EQ(rejection_of([&] { run_dumbbell(cfg); }),
+            "DumbbellScenarioConfig.edge_rate: must be > 0 b/s (got 0)");
+}
+
+TEST(ScenarioTest, DumbbellRejectsAZeroBottleneckRate) {
+  DumbbellScenarioConfig cfg = small_scenario();
+  cfg.bottleneck_rate = sim::DataRate::bps(0);
+  EXPECT_EQ(rejection_of([&] { run_dumbbell(cfg); }),
+            "DumbbellScenarioConfig.bottleneck_rate: must be > 0 b/s (got 0)");
+}
+
+TEST(ScenarioTest, LeafSpineRejectsAZeroLinkRate) {
+  LeafSpineScenarioConfig cfg;
+  cfg.link_rate = sim::DataRate::bps(0);
+  EXPECT_EQ(rejection_of([&] { run_leaf_spine(cfg); }),
+            "LeafSpineScenarioConfig.link_rate: must be > 0 b/s (got 0)");
+}
+
+TEST(ScenarioTest, FatTreeRejectsAZeroLinkRate) {
+  FatTreeScenarioConfig cfg;
+  cfg.k = 4;
+  cfg.link_rate = sim::DataRate::bps(0);
+  EXPECT_EQ(rejection_of([&] { run_fat_tree_sharded(cfg); }),
+            "FatTreeScenarioConfig.link_rate: must be > 0 b/s (got 0)");
+}
+
 TEST(ScenarioTest, HWatchReducesDropsUnderIncast) {
   // Miniature figure 8: plain TCP tenants, marginal buffer.
   auto base = [] {

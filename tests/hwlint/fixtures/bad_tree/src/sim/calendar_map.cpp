@@ -1,6 +1,6 @@
 // Seeded violation: the classic std::map calendar queue — one
 // red-black-tree node allocation per scheduled event, exactly what the
-// wheel + slab event core exists to avoid (src/sim is a hot-path dir).
+// wheel + node-pool event core exists to avoid (src/sim is a hot-path dir).
 // Never compiled.
 #include <map>
 

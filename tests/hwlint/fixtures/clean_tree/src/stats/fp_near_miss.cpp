@@ -1,6 +1,8 @@
 // Near-misses for the fp-determinism pass: sqrt is exempt (IEEE 754
 // requires correct rounding), integer comparisons next to double locals
-// are fine, accumulation over an *ordered* container is fine, and a
+// are fine, accumulation over an *ordered* container is fine, a
+// qualified function definition registers no fp name (`Json` below is
+// a class, so `depth == Json::kMax` compares integers), and a
 // justified inline suppression silences a pow call.
 #include <cmath>
 #include <map>
@@ -23,6 +25,15 @@ double total() {
   }
   return sum;
 }
+
+struct Json {
+  static constexpr int kMax = 256;
+  double as_double() const;
+};
+
+double Json::as_double() const { return 0.0; }
+
+bool at_cap(int depth) { return depth == Json::kMax; }
 
 // Distribution shape needs pow; reference platform is x86-64/glibc.
 double shaped(double base) {

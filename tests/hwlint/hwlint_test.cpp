@@ -636,6 +636,22 @@ TEST(HwlintFp, FlagsFloatComparisonsPerFile) {
                   .empty());
 }
 
+TEST(HwlintFp, QualifiedDeclaratorsNameTheirLastComponent) {
+  // An out-of-line member function makes neither its class nor itself
+  // a floating name, so an integer compare against `Json::` passes.
+  EXPECT_TRUE(check("src/sim/json.cpp",
+                    "double Json::as_double() const { return 0.0; }\n"
+                    "bool at_cap(int depth) { return depth == Json::kMax; }\n")
+                  .empty());
+  // A qualified static member defined as double is still one.
+  const auto vs = check("src/stats/gauge.cpp",
+                        "const double Gauge::scale = 1;\n"
+                        "bool unit(long s) { return Gauge::scale == s; }\n");
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].line, 2);
+  EXPECT_EQ(vs[0].rule, hwlint::kRuleFpDeterminism);
+}
+
 TEST(HwlintFp, FlagsAccumulationOverUnorderedOnly) {
   const auto bad = check("src/stats/acc.cpp",
                          "std::unordered_map<int, double> samples;\n"

@@ -180,7 +180,7 @@ TEST(AllocationRegression, ShardedSteadyStateEpochsAreAllocationFree) {
   };
 
   // Warm-up: handshakes, slow start, and every grow-only structure
-  // (wheel slab, flight rings, inbox rings, pools) reaching its peak.
+  // (wheel nodes, flight rings, inbox rings, pools) reaching its peak.
   run_epochs_until(sim::milliseconds(20));
 
   std::uint64_t events_before = 0;

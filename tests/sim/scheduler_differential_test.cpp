@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -61,6 +62,18 @@ class ReferenceScheduler {
 
   TimePs now() const { return now_; }
   bool empty() const { return live_.empty(); }
+
+  /// The event due first by (time, seq), or nullptr when none is live.
+  const RefEvent* front() const {
+    const RefEvent* best = nullptr;
+    for (const RefEvent& e : live_) {
+      if (best == nullptr || e.time < best->time ||
+          (e.time == best->time && e.seq < best->seq)) {
+        best = &e;
+      }
+    }
+    return best;
+  }
 
  private:
   std::vector<RefEvent> live_;
@@ -173,6 +186,107 @@ void RunDifferential(std::uint64_t seed, int ops) {
 TEST(SchedulerDifferentialTest, RandomizedChurnMatchesReferenceOrder) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull, 987654ull}) {
     RunDifferential(seed, 4'000);
+  }
+}
+
+// Re-entrant mode: callbacks schedule and cancel, as the model's do.
+// Each callback requires the reference's first event to be the one
+// running and retires it there, so the two advance in lock step.  Then
+// it may schedule a child at the same instant or within a bucket's
+// width (an insert into the bucket being consumed) or past the horizon,
+// and may cancel the event due next: the entry right behind the head.
+class ReentrantDifferential {
+ public:
+  explicit ReentrantDifferential(std::uint64_t seed)
+      : seed_(seed), rng_(seed) {}
+
+  void run(int rounds) {
+    for (int round = 0; round < rounds && !diverged_; ++round) {
+      // Top up with bursts, so full buckets spill to the heap too.
+      while (real_.pending() < 48) {
+        const TimePs t =
+            real_.now() + static_cast<TimePs>(rng_() % (kWheelSpanPs / 8));
+        for (std::uint64_t i = rng_() % 12; i < 12; ++i) schedule(t);
+      }
+      const TimePs target =
+          real_.now() + static_cast<TimePs>(rng_() % (kWheelSpanPs / 16));
+      real_.run_until(target);
+      // Nothing due by `target` may be left behind.
+      const RefEvent* next = ref_.front();
+      ASSERT_TRUE(next == nullptr || next->time > target)
+          << "event " << next->token << " skipped, seed " << seed_;
+    }
+    real_.run();
+    EXPECT_EQ(ref_.front(), nullptr) << "seed " << seed_;
+    EXPECT_EQ(real_.pending(), 0u);
+  }
+
+  std::size_t fired() const { return fired_; }
+
+ private:
+  void schedule(TimePs t) {
+    const int token = next_token_++;
+    live_[token] = real_.schedule_at(t, [this, token] { fire(token); });
+    ref_.schedule(t, token);
+  }
+
+  void cancel(int token) {
+    EXPECT_TRUE(real_.cancel(live_.at(token))) << "token " << token;
+    ref_.cancel(token);
+    live_.erase(token);
+  }
+
+  void fire(int token) {
+    const RefEvent* expected = ref_.front();
+    if (expected == nullptr || expected->token != token ||
+        expected->time != real_.now()) {
+      ADD_FAILURE() << "event " << token << " ran at " << real_.now()
+                    << "; the reference expected "
+                    << (expected == nullptr ? -1 : expected->token)
+                    << ", seed " << seed_;
+      diverged_ = true;
+      real_.stop();
+      return;
+    }
+    ref_.cancel(token);
+    live_.erase(token);
+    ++fired_;
+    switch (rng_() % 8) {
+      case 0:
+      case 1:
+        schedule(real_.now());
+        break;
+      case 2:
+      case 3:
+        schedule(real_.now() + static_cast<TimePs>(rng_() % kWheelBucketPs));
+        break;
+      case 4:
+        schedule(real_.now() + kWheelSpanPs +
+                 static_cast<TimePs>(rng_() % kWheelSpanPs));
+        break;
+      default:
+        break;
+    }
+    if (rng_() % 4 == 0) {
+      if (const RefEvent* behind = ref_.front()) cancel(behind->token);
+    }
+  }
+
+  std::uint64_t seed_;
+  std::mt19937_64 rng_;
+  Scheduler real_;
+  ReferenceScheduler ref_;
+  std::unordered_map<int, EventId> live_;  // token -> real handle
+  int next_token_ = 0;
+  std::size_t fired_ = 0;
+  bool diverged_ = false;
+};
+
+TEST(SchedulerDifferentialTest, CallbacksThatScheduleAndCancelMatchReference) {
+  for (const std::uint64_t seed : {3ull, 11ull, 2024ull}) {
+    ReentrantDifferential d(seed);
+    d.run(2'000);
+    EXPECT_GT(d.fired(), 10'000u) << "seed " << seed;
   }
 }
 

@@ -65,6 +65,23 @@ TEST(SchedulerMemoryTest, ExecutedEventsRecycleSlots) {
   EXPECT_LE(s.bookkeeping_slots(), 256u);
 }
 
+TEST(SchedulerMemoryTest, WheelNodesFollowParkedEventsNotBuckets) {
+  // One event in every wheel bucket, in waves of at most 16 parked at
+  // once: the node pool holds one wave, where a slab of kWheelBuckets x
+  // kWheelBucketCapacity entries held 16,384.
+  Scheduler s;
+  constexpr std::size_t kWave = 16;
+  for (std::size_t b = 0; b < kWheelBuckets; b += kWave) {
+    for (std::size_t i = b; i < b + kWave; ++i) {
+      s.schedule_at(static_cast<TimePs>(i) * kWheelBucketPs, [] {});
+    }
+    s.run();
+  }
+  EXPECT_EQ(s.executed(), kWheelBuckets);
+  EXPECT_EQ(s.heap_peak(), kWave);
+  EXPECT_LE(s.wheel_node_slots(), kWave);
+}
+
 TEST(SchedulerMemoryTest, CancelAfterExecutionReturnsFalse) {
   Scheduler s;
   const EventId id = s.schedule_at(5, [] {});

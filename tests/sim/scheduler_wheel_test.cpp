@@ -87,6 +87,28 @@ TEST(SchedulerWheelTest, CancelledWheelEntriesAreCompactedAway) {
   EXPECT_LE(s.total_entries(), 256u);
 }
 
+TEST(SchedulerWheelTest, CompactionThatEmptiesTheFrontBucketMovesOn) {
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_at(100, [&order] { order.push_back(0); });
+  const EventId behind = s.schedule_at(200, [&order] { order.push_back(1); });
+  s.schedule_at(3 * kWheelBucketPs, [&order] { order.push_back(2); });
+  std::vector<EventId> filler;
+  for (int i = 0; i < 63; ++i) {
+    filler.push_back(s.schedule_at(5 * kWheelBucketPs + i, [] {}));
+  }
+  // Event 0 runs; its bucket stays at the wheel's front with `behind`
+  // at the head.  Cancelling it and the filler makes 64 of 65 parked
+  // entries stale, so the last cancel compacts and empties that bucket.
+  s.run_until(100);
+  ASSERT_TRUE(s.cancel(behind));
+  for (const EventId id : filler) ASSERT_TRUE(s.cancel(id));
+  EXPECT_EQ(s.total_entries(), 1u);
+  EXPECT_EQ(s.next_event_time(), 3 * kWheelBucketPs);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+}
+
 TEST(SchedulerWheelTest, RunUntilJumpsPastWheelSpan) {
   Scheduler s;
   int fired = 0;

@@ -207,24 +207,27 @@ TEST(ShardedFatTreeTest, K16FabricReservesNoRingsBeforeTheFirstEvent) {
   EXPECT_EQ(inbox_slots, 0u);
 }
 
-// Ring storage follows occupancy on a running fabric: after 5 ms of a
-// DCTCP permutation on the k=4 sharded fat-tree, each qdisc ring holds
-// the smallest PacketRing step that fits the deepest its queue got — 8,
-// 16, then the 250-packet bound's 256 — or nothing if it stayed empty.
-TEST(ShardedFatTreeTest, QdiscRingsHoldTheSmallestStepTheirPeakNeeds) {
+// 5 ms of a DCTCP permutation on the k=4 sharded fat-tree: one
+// long-lived cross-shard flow per host.  The traffic managers are
+// declared after the tree, so they go first.
+struct DctcpPermutation {
+  ShardedFatTree tree;
+  std::vector<std::unique_ptr<workload::TrafficManager>> tms;
+};
+
+DctcpPermutation run_dctcp_permutation() {
   ShardedFatTreeConfig cfg;
   cfg.k = 4;
   cfg.qdisc = net::make_dctcp_factory(250, 50);
   cfg.seed = 7;
-  ShardedFatTree tree = build_sharded_fat_tree(cfg);
+  DctcpPermutation run{build_sharded_fat_tree(cfg), {}};
+  ShardedFatTree& tree = run.tree;
   const std::size_t shards = tree.shards.size();
 
-  // One long-lived cross-shard DCTCP flow per host.
   tcp::TcpConfig t;
   t.ecn = tcp::EcnMode::kDctcp;
-  std::vector<std::unique_ptr<workload::TrafficManager>> tms;
   for (std::size_t s = 0; s < shards; ++s) {
-    tms.push_back(
+    run.tms.push_back(
         std::make_unique<workload::TrafficManager>(*tree.shards[s].net));
   }
   const std::size_t n_hosts = tree.hosts.size();
@@ -235,12 +238,12 @@ TEST(ShardedFatTreeTest, QdiscRingsHoldTheSmallestStepTheirPeakNeeds) {
     spec.src = tree.hosts[i];
     spec.dst = tree.hosts[j];
     spec.dst_net = tree.shards[j / hosts_per_edge].net.get();
-    spec.dst_port = tms[j / hosts_per_edge]->next_port(*spec.dst);
+    spec.dst_port = run.tms[j / hosts_per_edge]->next_port(*spec.dst);
     spec.transport = tcp::Transport::kDctcp;
     spec.tcp = t;
     spec.bytes = tcp::TcpSender::kUnlimited;
     spec.klass = stats::FlowClass::kLong;
-    tms[i / hosts_per_edge]->add_flow(spec);
+    run.tms[i / hosts_per_edge]->add_flow(spec);
   }
 
   std::vector<std::vector<std::pair<net::Node*, net::ShardInbox::Item>>>
@@ -256,11 +259,19 @@ TEST(ShardedFatTreeTest, QdiscRingsHoldTheSmallestStepTheirPeakNeeds) {
     }
     t0 = end;
   }
+  return run;
+}
 
+// Ring storage follows occupancy on a running fabric: after the DCTCP
+// permutation each qdisc ring holds the smallest PacketRing step that
+// fits the deepest its queue got — 8, 16, then the 250-packet bound's
+// 256 — or nothing if it stayed empty.
+TEST(ShardedFatTreeTest, QdiscRingsHoldTheSmallestStepTheirPeakNeeds) {
+  const DctcpPermutation run = run_dctcp_permutation();
   const std::vector<std::size_t> steps = {8, 16, 256};  // bound 250
   std::size_t first_block = 0;
   std::size_t grown = 0;
-  for (const ShardedFatTree::Shard& sh : tree.shards) {
+  for (const ShardedFatTree::Shard& sh : run.tree.shards) {
     for (const auto& link : sh.net->links()) {
       const net::QueueDiscipline& q = link->qdisc();
       const std::uint64_t peak = q.stats().max_len_pkts;
@@ -277,6 +288,17 @@ TEST(ShardedFatTreeTest, QdiscRingsHoldTheSmallestStepTheirPeakNeeds) {
   // Both sides of the first block's edge occur in the run.
   EXPECT_GT(first_block, 0u);
   EXPECT_GT(grown, 0u);
+}
+
+// Wheel storage follows parked events on the same run: no shard's
+// scheduler made more wheel nodes than it ever parked entries.
+TEST(ShardedFatTreeTest, WheelNodesStayWithinTheSchedulersParkedPeak) {
+  const DctcpPermutation run = run_dctcp_permutation();
+  for (std::size_t s = 0; s < run.tree.shards.size(); ++s) {
+    const sim::Scheduler& sched = run.tree.shards[s].ctx->scheduler();
+    EXPECT_GT(sched.wheel_node_slots(), 0u) << "shard " << s;
+    EXPECT_LE(sched.wheel_node_slots(), sched.heap_peak()) << "shard " << s;
+  }
 }
 
 TEST(ShardedFatTreeTest, PacketUidsAreStripedPerShard) {

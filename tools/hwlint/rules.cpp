@@ -667,6 +667,12 @@ std::set<std::string> collect_fp_names(const Toks& t) {
       ++k;
     }
     if (k >= t.size() || !is_ident(t[k])) continue;
+    // `double Json::as_double()` declares `as_double`, not `Json`: a
+    // qualified declarator names its last component.
+    while (k + 2 < t.size() && is_punct(t[k + 1], "::") &&
+           is_ident(t[k + 2])) {
+      k += 2;
+    }
     const Token* after = next_tok(t, k);
     // `name(` is a function returning float/double, not a variable.
     if (after != nullptr && is_punct(*after, "(")) continue;
