@@ -44,7 +44,7 @@
 //
 // Memory model: callbacks are move-only UniqueFunctions that live in
 // slot-indexed side arrays, NOT in the wheel/heap entries — entries
-// stay 24 bytes, so bucket sorts and sift-up/down move small PODs while
+// stay 24 bytes, so wheel nodes and sift-up/down move small PODs while
 // the fat callback is written exactly once per event.  Callback slots
 // come in two size classes: a small pool for the common tiny capture (a
 // `this` pointer, a couple of words — timers, flow starts, sampler
